@@ -6,8 +6,10 @@ the checker, `eval` normalizes under the beta-step budget, and `eval` and
 so the output never shows two variables under one name and is identical
 across runs.
 
-Exit codes: 0 on success, 1 on a parse or type error, 2 when the step
-budget runs out.  Errors go to stderr as `file:line:col: code: message`.
+Exit codes: 0 on success, 1 on an unreadable file or a parse or type
+error, 2 when the step budget runs out.  Errors go to stderr as
+`file:line:col: code: message`, or `file: io-error: message` for a file
+that cannot be read.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def _run_files(files: list[str], steps: int, ascii_out: bool) -> int:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as e:
-            print(f"{path}: syntax-error: {e}", file=sys.stderr)
+            print(f"{path}: io-error: {e}", file=sys.stderr)
             return 1
         try:
             script = parse_script(text)

@@ -17,7 +17,7 @@ from .core import (
     Binder,
     BoxVal,
     Var,
-    bind_var,
+    bind_var,  # unused here; bench/layers.py wraps it by name
     box_binder,
     box_var,
     eq_binder,
@@ -207,19 +207,29 @@ def hnf(t: Te) -> Te:
     return t
 
 
+@dataclass(eq=False, slots=True)
+class _Val:
+    """A value substituted into syntax; evaluation returns it as-is."""
+
+    v: Te
+
+
 def nf(t: Te, max_steps: Optional[int] = None) -> Te:
     """Full beta-normal form, reducing under binders.
 
-    Terminates on well-typed terms.  `max_steps`, when given, bounds the
-    number of beta steps and raises `StepBudgetExceeded` past the bound.
+    Normalization by evaluation.  `ev` maps a term to a value, evaluating
+    applications right to left, argument first.  A value's abstractions
+    carry lazy binders whose `value` evaluates the original body with the
+    argument in place, so a beta step is one call.  Readback is `lift_te`
+    and one `unbox`: `lift_te` opens each lazy binder once, on a fresh
+    variable, which evaluates that body.
 
-    Substitution shares subterms, so results known to be normal are cached
-    by object identity for the duration of the call, and a term that did
-    not reduce is returned as-is instead of being rebuilt.  The result is
-    the same normal form up to the stored binder names.
+    Terminates on well-typed terms.  `max_steps`, when given, bounds the
+    number of beta steps the evaluator takes, readback included, and
+    raises `StepBudgetExceeded` past the bound.  An abstraction applied k
+    times has its body evaluated k times, and each of its betas counts.
     """
     remaining = max_steps
-    normal: dict[int, Te] = {}  # values keep the keys' objects alive
 
     def beta() -> None:
         nonlocal remaining
@@ -228,44 +238,36 @@ def nf(t: Te, max_steps: Optional[int] = None) -> Te:
             if remaining < 0:
                 raise StepBudgetExceeded(max_steps)
 
-    def go(t: Te) -> Te:
-        if id(t) in normal:
-            return t
+    def ev(t: Te) -> Te:
         tt = type(t)
         if tt is TeApp:
-            u = go(t.arg)
-            fn = go(t.fn)
+            u = ev(t.arg)
+            fn = ev(t.fn)
             if type(fn) is TeAbs:
                 beta()
-                return go(subst(fn.binder, u))
-            r = t if (fn is t.fn and u is t.arg) else TeApp(fn, u)
-            normal[id(r)] = r
-            return r
+                return fn.binder.value(u)
+            return TeApp(fn, u)
         if tt is TeVar:
             return t
+        if tt is _Val:
+            return t.v
         if tt is TeAbs:
-            x, body = unbind(t.binder)
-            body2 = go(body)
-            r = t if body2 is body else TeAbs(t.ty, unbox(bind_var(x, lift_te(body2))))
-            normal[id(r)] = r
-            return r
+            f = t.binder
+            return TeAbs(t.ty, Binder(f.name, f.occurs, f.rank, f.mkfree,
+                                      lambda u: ev(subst(f, _Val(u)))))
         if tt is TeLam:
-            x, body = unbind(t.binder)
-            body2 = go(body)
-            r = t if body2 is body else TeLam(unbox(bind_var(x, lift_te(body2))))
-            normal[id(r)] = r
-            return r
+            f = t.binder
+            return TeLam(Binder(f.name, f.occurs, f.rank, f.mkfree,
+                                lambda a: ev(subst(f, a))))
         if tt is TeSpe:
-            fn = go(t.fn)
+            fn = ev(t.fn)
             if type(fn) is TeLam:
                 beta()
-                return go(subst(fn.binder, t.ty))
-            r = t if fn is t.fn else TeSpe(fn, t.ty)
-            normal[id(r)] = r
-            return r
+                return fn.binder.value(t.ty)
+            return TeSpe(fn, t.ty)
         raise TypeError(f"not a term: {t!r}")
 
-    return go(t)
+    return unbox(lift_te(ev(t)))
 
 
 # --- printing --------------------------------------------------------------

@@ -67,6 +67,15 @@ def test_cli_parse_error_exit_1(tmp_path):
     assert f"{path}:1:20: syntax-error:" in r.stderr
 
 
+def test_cli_unreadable_file_exit_1(tmp_path):
+    path = tmp_path / "missing.sf"
+    r = run_cli([str(path)])
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"{path}: io-error: ")
+    assert "syntax-error" not in r.stderr
+    assert r.stdout == ""
+
+
 def test_cli_unbound_identifier(tmp_path):
     path = tmp_path / "unbound.sf"
     path.write_text("eval missing;\n", encoding="utf-8")

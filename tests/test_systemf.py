@@ -183,13 +183,16 @@ def test_nf_church_product():
 
 def test_nf_budget():
     A = new_var(TyVar, "A")
-    x = new_var(TeVar, "x")
-    delta = unbox(_TeAbs(_TyVar(A), bind_var(x, _TeApp(_TeVar(x), _TeVar(x)))))
-    try:
-        nf(TeApp(delta, delta), max_steps=64)
-        assert False, "expected the budget to run out"
-    except StepBudgetExceeded as e:
-        assert e.steps == 64
+    x, y = new_var(TeVar, "x"), new_var(TeVar, "y")
+    delta = _TeAbs(_TyVar(A), bind_var(x, _TeApp(_TeVar(x), _TeVar(x))))
+    omega = _TeApp(delta, delta)
+    # at the top, and under a binder, which only readback reaches
+    for t in (unbox(omega), unbox(_TeAbs(_TyVar(A), bind_var(y, omega)))):
+        try:
+            nf(t, max_steps=64)
+            assert False, "expected the budget to run out"
+        except StepBudgetExceeded as e:
+            assert e.steps == 64
 
 
 def test_hnf_is_prefix_of_nf():
