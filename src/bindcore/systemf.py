@@ -9,6 +9,7 @@ finished syntax used for pattern matching.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -209,34 +210,28 @@ def hnf(t: Te) -> Te:
 
 @dataclass(eq=False, slots=True)
 class _Val:
-    """A value substituted into syntax; evaluation returns it as-is."""
+    """A value substituted for a variable: one cell shared by all its uses."""
 
     v: Te
+    reached: int = 0  # the second reach replaces `v` by its normal form
 
 
 def nf(t: Te, max_steps: Optional[int] = None) -> Te:
     """Full beta-normal form, reducing under binders.
 
-    Normalization by evaluation.  `ev` maps a term to a value, evaluating
-    applications right to left, argument first.  A value's abstractions
-    carry lazy binders whose `value` evaluates the original body with the
-    argument in place, so a beta step is one call.  Readback is `lift_te`
-    and one `unbox`: `lift_te` opens each lazy binder once, on a fresh
-    variable, which evaluates that body.
-
-    Terminates on well-typed terms.  `max_steps`, when given, bounds the
-    number of beta steps the evaluator takes, readback included, and
-    raises `StepBudgetExceeded` past the bound.  An abstraction applied k
-    times has its body evaluated k times, and each of its betas counts.
+    Normalization by evaluation.  `ev` evaluates right to left, argument
+    first; it leaves abstractions as they stand and substitutes each
+    argument as a `_Val` cell.  `rb` reads a value back into a box and
+    evaluates each body it opens.  A cell's value is normalized the second
+    time the cell is reached, so a function used many times has its body
+    evaluated at most twice.  Terminates on well-typed terms.  `max_steps`
+    bounds the beta steps, all counted, raising `StepBudgetExceeded`.
     """
-    remaining = max_steps
+    steps = itertools.count(1)
 
     def beta() -> None:
-        nonlocal remaining
-        if remaining is not None:
-            remaining -= 1
-            if remaining < 0:
-                raise StepBudgetExceeded(max_steps)
+        if max_steps is not None and next(steps) > max_steps:
+            raise StepBudgetExceeded(max_steps)
 
     def ev(t: Te) -> Te:
         tt = type(t)
@@ -245,29 +240,36 @@ def nf(t: Te, max_steps: Optional[int] = None) -> Te:
             fn = ev(t.fn)
             if type(fn) is TeAbs:
                 beta()
-                return fn.binder.value(u)
+                return ev(subst(fn.binder, _Val(u)))
             return TeApp(fn, u)
-        if tt is TeVar:
-            return t
-        if tt is _Val:
-            return t.v
-        if tt is TeAbs:
-            f = t.binder
-            return TeAbs(t.ty, Binder(f.name, f.occurs, f.rank, f.mkfree,
-                                      lambda u: ev(subst(f, _Val(u)))))
-        if tt is TeLam:
-            f = t.binder
-            return TeLam(Binder(f.name, f.occurs, f.rank, f.mkfree,
-                                lambda a: ev(subst(f, a))))
         if tt is TeSpe:
             fn = ev(t.fn)
             if type(fn) is TeLam:
                 beta()
-                return fn.binder.value(t.ty)
+                return ev(subst(fn.binder, t.ty))
             return TeSpe(fn, t.ty)
+        if tt is _Val:
+            t.reached += 1
+            if t.reached == 2:
+                t.v = unbox(rb(t.v))
+            return t.v
+        if tt is TeVar or tt is TeAbs or tt is TeLam:
+            return t
         raise TypeError(f"not a term: {t!r}")
 
-    return unbox(lift_te(ev(t)))
+    def rb(v: Te) -> BoxVal[Te]:
+        tt = type(v)
+        if tt is TeAbs:
+            return _TeAbs(lift_ty(v.ty), box_binder(lambda b: rb(ev(b)), v.binder))
+        if tt is TeLam:
+            return _TeLam(box_binder(lambda b: rb(ev(b)), v.binder))
+        if tt is TeApp:
+            return _TeApp(rb(v.fn), rb(v.arg))
+        if tt is TeSpe:
+            return _TeSpe(rb(v.fn), lift_ty(v.ty))
+        return box_var(v.var)
+
+    return unbox(rb(ev(t)))
 
 
 # --- printing --------------------------------------------------------------

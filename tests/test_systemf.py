@@ -13,9 +13,11 @@ from bindcore import (
     unbox,
 )
 from bindcore.oracle import convert, debruijn, named
-from bindcore.parser import parse_term
+from bindcore.cli import DEFAULT_STEPS
+from bindcore.parser import parse_term, parse_type
 from bindcore.systemf import (
     StepBudgetExceeded,
+    Te,
     TeAbs,
     TeApp,
     TeLam,
@@ -42,6 +44,7 @@ from bindcore.systemf import (
     print_ty,
     update_names,
 )
+from bindcore.typecheck import infer
 from church import church, mult_term
 from gen import TermGen, free_split
 
@@ -193,6 +196,40 @@ def test_nf_budget():
             assert False, "expected the budget to run out"
         except StepBudgetExceeded as e:
             assert e.steps == 64
+
+
+def shared_argument_term(d: int, result: str, poly: bool = False) -> Te:
+    """A chain of d functions, each applying the one before it twice.
+
+    Lam X.fun g.fun x.((fun f0.(... ((fun fd.(fd x)) A_d) ...) A_1) id),
+    with A_i = fun y.((fun z.RESULT) (f{i-1} (f{i-1} y))), which
+    normalizes to fun y.RESULT.  The normal form is small, but an
+    evaluator that redoes the body of each f at every use takes about
+    3 * 2**d beta steps.  With `poly`, each f has type all Y.(Y => Y) and
+    is instantiated before each use.
+    """
+    ty, a = ("all Y.(Y => Y)", "Y") if poly else ("(X => X)", "X")
+    lam = f"Lam Y.fun y:{a}." if poly else f"fun y:{a}."
+
+    def use(i: int, at: str) -> str:
+        return f"(f{i} [{at}])" if poly else f"f{i}"
+
+    body = f"({use(d, 'X')} x)"
+    for i in range(d, 0, -1):
+        f = use(i - 1, a)
+        body = f"(fun f{i}:{ty}.{body} {lam}(fun z:{a}.{result} ({f} ({f} y))))"
+    body = f"(fun f0:{ty}.{body} {lam}y)"
+    return parse_term(f"Lam X.fun g:(X => X).fun x:X.{body}")
+
+
+def test_nf_shares_work_on_repeated_arguments():
+    d = 20
+    for result, poly in (("y", False), ("(g y)", False), ("y", True)):
+        t = shared_argument_term(d, result, poly)
+        assert eq_ty(infer([], t), parse_type("all X.((X => X) => (X => X))"))
+        want = parse_term(f"Lam X.fun g:(X => X).fun x:X.{result.replace('y', 'x')}")
+        assert eq_te(nf(t, max_steps=DEFAULT_STEPS), want)
+        assert eq_te(nf(t, max_steps=12 * d), want)  # 7d - 1 or 11d - 2 steps
 
 
 def test_hnf_is_prefix_of_nf():
