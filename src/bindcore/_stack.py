@@ -3,6 +3,9 @@
 Normalization and lifting recurse once per syntax node, so terms with long
 spines need more stack than a default thread provides.  The work runs on a
 dedicated thread with a large stack and a raised recursion limit.
+
+The recursion limit is interpreter-wide, so overlapping calls share it: it is
+raised when the first call starts and restored when the last one ends.
 """
 
 from __future__ import annotations
@@ -12,6 +15,28 @@ import threading
 from typing import Any, Callable
 
 __all__ = ["call_with_deep_stack"]
+
+_lock = threading.Lock()  # guards `_active`, `_saved_limit` and the stack size
+_active = 0  # deep calls running
+_saved_limit = 0  # the recursion limit before the first of them started
+
+
+def _enter(recursion_limit: int) -> None:
+    global _active, _saved_limit
+    with _lock:
+        if _active == 0:
+            _saved_limit = sys.getrecursionlimit()
+        _active += 1
+        if recursion_limit > sys.getrecursionlimit():
+            sys.setrecursionlimit(recursion_limit)
+
+
+def _leave() -> None:
+    global _active
+    with _lock:
+        _active -= 1
+        if _active == 0:
+            sys.setrecursionlimit(_saved_limit)
 
 
 def call_with_deep_stack(
@@ -23,21 +48,21 @@ def call_with_deep_stack(
     outcome: list = []
 
     def runner() -> None:
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(recursion_limit)
+        _enter(recursion_limit)
         try:
             outcome.append((True, fn(*args)))
         except BaseException as exc:  # re-raised on the calling thread
             outcome.append((False, exc))
         finally:
-            sys.setrecursionlimit(old)
+            _leave()
 
-    old_size = threading.stack_size(stack_bytes)
-    try:
-        thread = threading.Thread(target=runner, name="bindcore-deep")
-        thread.start()
-    finally:
-        threading.stack_size(old_size)
+    with _lock:  # the stack size is process-wide too
+        old_size = threading.stack_size(stack_bytes)
+        try:
+            thread = threading.Thread(target=runner, name="bindcore-deep")
+            thread.start()
+        finally:
+            threading.stack_size(old_size)
     thread.join()
     ok, value = outcome[0]
     if not ok:

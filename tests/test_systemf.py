@@ -46,7 +46,7 @@ from bindcore.systemf import (
 )
 from bindcore.typecheck import infer
 from church import church, mult_term
-from gen import TermGen, free_split
+from gen import TermGen, churn, free_split
 
 
 def worked_example():
@@ -354,6 +354,83 @@ def test_update_names_idempotent():
     once = update_names(captured)
     twice = update_names(once)
     assert print_te(once) == print_te(twice)
+
+
+def fixed_point_names(t: Te) -> tuple[Te, int]:
+    """The former `update_names`: relift until the printed form settles.
+
+    Returns the settled term and the number of relifts it took.
+    """
+    shown, relifts = print_te(t), 0
+    while True:
+        t, relifts = unbox(lift_te(t)), relifts + 1
+        again = print_te(t)
+        if again == shown:
+            return t, relifts
+        shown = again
+
+
+def test_update_names_settles_chained_renaming():
+    # a fresh "w" substituted for v: the outer binder must become w0, which
+    # pushes the inner one on to w1; the same chain on type binders
+    v, A, Y = new_var(TeVar, "v"), new_var(TyVar, "A"), new_var(TyVar, "Y")
+    cases = [
+        (parse_term("fun w:A.fun w0:A.(v (w w0))", [v], [A]), v,
+         TeVar(new_var(TeVar, "w")),
+         "λw:A.λw0:A.(w (w w0))", "λw0:A.λw1:A.(w (w0 w1))"),
+        (parse_term("Lam X.Lam X0.fun x:(Y => (X => X0)).x", [], [Y]), Y,
+         TyVar(new_var(TyVar, "X")),
+         "ΛX.ΛX0.λx:(X ⇒ (X ⇒ X0)).x", "ΛX0.ΛX1.λx:(X ⇒ (X0 ⇒ X1)).x"),
+    ]
+    for t0, target, intruder, shown, want in cases:
+        captured = subst(unbox(bind_var(target, lift_te(t0))), intruder)
+        assert print_te(captured) == shown
+        assert fixed_point_names(captured)[1] == 3
+        fixed = update_names(captured)
+        assert print_te(fixed) == want
+        assert eq_te(fixed, captured)
+
+
+def test_update_names_matches_fixed_point():
+    rng = random.Random(0x5E77)
+    g = TermGen(rng, max_depth=6, max_size=40)
+    terms = [churn(rng, g.sample()[0]) for _ in range(500)]
+    terms += [nf(g.sample()[0]) for _ in range(500)]
+    slow = 0
+    for t in terms:
+        want, relifts = fixed_point_names(t)
+        slow += relifts > 1
+        assert print_te(update_names(t)) == print_te(want)
+    assert slow > 100  # many inputs need chained renaming
+
+
+def test_update_names_opens_each_binder_once(monkeypatch):
+    import bindcore.systemf as systemf
+
+    rng = random.Random(808)
+    g = TermGen(rng, max_depth=6, max_size=40)
+    terms = [churn(rng, g.sample()[0]) for _ in range(40)]
+    terms.append(unbox(worked_example()[0]))
+    # every binder prints as exactly one of λ, Λ and ∀
+    binders = [sum(print_te(t).count(c) for c in "λΛ∀") for t in terms]
+    assert any("∀" in print_te(t) for t in terms)
+    calls = {"unbind": 0, "unbox": 0}
+
+    def counting(name):
+        fn = getattr(systemf, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(systemf, name, counting(name))
+    for t, n in zip(terms, binders):
+        calls.update(unbind=0, unbox=0)
+        update_names(t)
+        assert calls == {"unbind": n, "unbox": 1}
 
 
 def test_bound_substitution_matches_oracle():
