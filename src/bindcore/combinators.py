@@ -1,62 +1,19 @@
-"""Lifting helpers derived from the applicative structure of boxes.
+"""Lifting helpers for optional values and sequences.
 
-Everything here is definable from `box` and `apply_box` alone; these are
-the convenience forms used when writing smart constructors.
+Both are definable from `box` and `box_apply2`; the application forms
+themselves (`box_apply`, `box_apply2`) live in `core` and are re-exported
+here.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Optional, Sequence, TypeVar
 
-from .core import BoxVal, Closed, Open, apply_box, box, merge_box_vars
+from .core import BoxVal, box, box_apply, box_apply2
 
 A = TypeVar("A")
-B = TypeVar("B")
-C = TypeVar("C")
 
 __all__ = ["box_apply", "box_apply2", "box_opt", "box_list"]
-
-
-def box_apply(f: Callable[[A], B], a: BoxVal[A]) -> BoxVal[B]:
-    """Apply a plain (variable-free) function to a boxed argument."""
-    return apply_box(box(f), a)
-
-
-def box_apply2(f: Callable[[A, B], C], a: BoxVal[A], b: BoxVal[B]) -> BoxVal[C]:
-    """Apply a plain two-argument function to two boxed arguments.
-
-    Built as a single merged closure; observably the same box as two
-    chained applications of `apply_box`.
-    """
-    if isinstance(a, Closed):
-        if isinstance(b, Closed):
-            return Closed(f(a.value, b.value))
-        av = a.value
-        bcl = b.closure
-
-        def phase1_r(vp):
-            b2 = bcl(vp)
-            return lambda env: f(av, b2(env))
-
-        return Open(b.vars, b.bound, phase1_r)
-    if isinstance(b, Closed):
-        bv = b.value
-        acl = a.closure
-
-        def phase1_l(vp):
-            a2 = acl(vp)
-            return lambda env: f(a2(env), bv)
-
-        return Open(a.vars, a.bound, phase1_l)
-    acl = a.closure
-    bcl = b.closure
-
-    def phase1(vp):
-        a2 = acl(vp)
-        b2 = bcl(vp)
-        return lambda env: f(a2(env), b2(env))
-
-    return Open(merge_box_vars(a.vars, b.vars), max(a.bound, b.bound), phase1)
 
 
 def box_opt(o: Optional[BoxVal[A]]) -> BoxVal[Optional[A]]:
@@ -64,7 +21,7 @@ def box_opt(o: Optional[BoxVal[A]]) -> BoxVal[Optional[A]]:
     if o is None:
         return box(None)
     # optional values carry no wrapper here, so the lift is the identity
-    return box_apply(lambda e: e, o)
+    return o
 
 
 def box_list(items: Sequence[BoxVal[A]]) -> BoxVal[list[A]]:

@@ -11,7 +11,8 @@ substitution stays cheap no matter how often the binder is applied.
 
 Debug instrumentation (slot-lookup counter, environment owner tags) is
 enabled by setting the BINDCORE_DEBUG environment variable to any non-empty
-value, or at runtime via `enable_debug`.
+value, or at runtime via `enable_debug`.  The mode is read when a box is
+sealed, so every closure and environment of one seal runs in one mode.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ __all__ = [
     "box",
     "box_var",
     "apply_box",
+    "box_apply",
+    "box_apply2",
     "bind_var",
     "unbox",
     "subst",
@@ -78,8 +81,9 @@ _stats = _Stats()
 def enable_debug(on: bool = True) -> None:
     """Toggle debug instrumentation at runtime.
 
-    The mode is captured when closures are built, so it applies to boxes
-    constructed after the call, not retroactively.
+    The mode is read when a box is sealed (by `unbox`, or by `bind_var` of
+    its last free variable), so it applies to boxes sealed after the call;
+    binders sealed before keep the mode they were sealed in.
     """
     global _debug
     _debug = bool(on)
@@ -96,43 +100,30 @@ def phase1_lookup_count() -> int:
 
 # --- environments ----------------------------------------------------------
 
-# An environment is a fixed-size slot store.  Slots below a box's bound
-# count belong to variables bound inside it; the remaining slots hold free
-# variables and are assigned at unbox time.  In debug mode each slot carries
-# the key of the variable that owns it, and every access is checked.
+# An environment is a fixed-size slot store, a plain list.  Slots below a
+# box's bound count belong to variables bound inside it; the remaining slots
+# hold free variables and are assigned at unbox time.  A substitution writes
+# its slot in a copy.  In debug mode the store is a `_DebugEnv` instead.
 
 
-class _Env(list):
+class _DebugEnv(list):
+    """A debug-mode slot store: each slot carries the key of the variable
+    that owns it, and every read is checked against it."""
+
     __slots__ = ("owners",)
 
+    def __init__(self, values: list, owners: list) -> None:
+        super().__init__(values)
+        self.owners = owners
 
-def _new_env(size: int, debug: bool) -> _Env:
-    env = _Env(itertools.repeat(None, size))
-    env.owners = [None] * size if debug else None
-    return env
+    def copy(self) -> "_DebugEnv":
+        return _DebugEnv(self, self.owners.copy())
 
-
-def _copy_env(env: _Env) -> _Env:
-    out = _Env(env)
-    owners = env.owners
-    out.owners = None if owners is None else list(owners)
-    return out
-
-
-def _env_read(env: _Env, slot: int, key: int) -> Any:
-    owners = env.owners
-    if owners is not None and owners[slot] != key:
-        raise BindDebugError(
-            f"slot {slot} owned by key {owners[slot]}, read as key {key}"
-        )
-    return env[slot]
-
-
-def _env_write(env: _Env, slot: int, value: Any, key: int) -> None:
-    env[slot] = value
-    owners = env.owners
-    if owners is not None:
-        owners[slot] = key
+    def read(self, slot: int, key: int) -> Any:
+        owner = self.owners[slot]
+        if owner != key:
+            raise BindDebugError(f"slot {slot} owned by key {owner}, read as key {key}")
+        return self[slot]
 
 
 # --- variables and boxes ---------------------------------------------------
@@ -201,7 +192,7 @@ class Open(Generic[T]):
 
     vars: tuple[Var, ...]
     bound: int
-    closure: Callable[[dict], Callable[[_Env], T]]
+    closure: Callable[[dict], Callable[[list], T]]
 
 
 BoxVal = Union[Closed[T], Open[T]]
@@ -222,11 +213,11 @@ def new_var(mkfree: Callable[[Var[T]], T], name: str) -> Var[T]:
     v: Var[T] = Var(next(_keys), prefix, suffix, mkfree)
     key = v.key
 
-    def phase1(vp: dict, _key=key) -> Callable[[_Env], T]:
+    def phase1(vp: dict, _key=key) -> Callable[[list], T]:
         if _debug:
             _stats.lookups += 1
             slot = vp[_key]
-            return lambda env: _env_read(env, slot, _key)
+            return lambda env: env.read(slot, _key)
         slot = vp[_key]
         return lambda env: env[slot]
 
@@ -253,15 +244,8 @@ def box_var(v: Var[T]) -> BoxVal[T]:
     return v.self_box
 
 
-def merge_box_vars(a: tuple[Var, ...], b: tuple[Var, ...]) -> tuple[Var, ...]:
-    """Key-sorted union of two sorted variable tuples."""
-    merged = _merge_vars(a, b)
-    if _debug:
-        _check_sorted(merged)
-    return merged
-
-
 def _merge_vars(a: tuple[Var, ...], b: tuple[Var, ...]) -> tuple[Var, ...]:
+    # key-sorted union of two sorted variable tuples
     out: list[Var] = []
     i = j = 0
     la, lb = len(a), len(b)
@@ -288,37 +272,61 @@ def _check_sorted(vs: tuple[Var, ...]) -> None:
             raise BindDebugError(f"variable list not strictly sorted: {vs}")
 
 
-def apply_box(f: BoxVal[Callable[[A], B]], a: BoxVal[A]) -> BoxVal[B]:
-    """Apply a boxed function to a boxed argument."""
-    if isinstance(f, Closed):
-        if isinstance(a, Closed):
-            return Closed(f.value(a.value))
-        fval = f.value
+def box_apply2(f: Callable[[A, B], C], a: BoxVal[A], b: BoxVal[B]) -> BoxVal[C]:
+    """Apply a plain two-argument function to two boxed arguments.
+
+    This is the one application primitive: `apply_box` and `box_apply` are
+    instances of it.
+    """
+    # A sealed value keeps one phase-two closure per node, so these bind
+    # their captures as defaults: a defaults tuple is smaller than the closure
+    # cells it replaces.
+    if isinstance(a, Closed):
+        if isinstance(b, Closed):
+            return Closed(f(a.value, b.value))
+        av = a.value
+        bcl = b.closure
+
+        def phase1_r(vp):
+            b2 = bcl(vp)
+            return lambda env, f=f, av=av, b2=b2: f(av, b2(env))
+
+        return Open(b.vars, b.bound, phase1_r)
+    if isinstance(b, Closed):
+        bv = b.value
         acl = a.closure
 
-        def phase1(vp):
+        def phase1_l(vp):
             a2 = acl(vp)
-            return lambda env: fval(a2(env))
+            return lambda env, f=f, a2=a2, bv=bv: f(a2(env), bv)
 
-        return Open(a.vars, a.bound, phase1)
-    if isinstance(a, Closed):
-        aval = a.value
-        fcl = f.closure
-
-        def phase1(vp):
-            f2 = fcl(vp)
-            return lambda env: f2(env)(aval)
-
-        return Open(f.vars, f.bound, phase1)
-    fcl = f.closure
+        return Open(a.vars, a.bound, phase1_l)
     acl = a.closure
+    bcl = b.closure
 
     def phase1(vp):
-        f2 = fcl(vp)
         a2 = acl(vp)
-        return lambda env: f2(env)(a2(env))
+        b2 = bcl(vp)
+        return lambda env, f=f, a2=a2, b2=b2: f(a2(env), b2(env))
 
-    return Open(merge_box_vars(f.vars, a.vars), max(f.bound, a.bound), phase1)
+    merged = _merge_vars(a.vars, b.vars)
+    if _debug:
+        _check_sorted(merged)
+    return Open(merged, max(a.bound, b.bound), phase1)
+
+
+def _call(f: Callable[[A], B], a: A) -> B:
+    return f(a)
+
+
+def apply_box(f: BoxVal[Callable[[A], B]], a: BoxVal[A]) -> BoxVal[B]:
+    """Apply a boxed function to a boxed argument."""
+    return box_apply2(_call, f, a)
+
+
+def box_apply(f: Callable[[A], B], a: BoxVal[A]) -> BoxVal[B]:
+    """Apply a plain (variable-free) function to a boxed argument."""
+    return apply_box(box(f), a)
 
 
 def _index_of(vs: tuple[Var, ...], key: int) -> int:
@@ -342,6 +350,20 @@ def _binder_name(x: Var, remaining: tuple[Var, ...]) -> str:
     while f"{prefix}{i}" in taken:
         i += 1
     return f"{prefix}{i}"
+
+
+def _bound_body(cl: Callable, vp: dict, slot: int, key: int) -> Callable[[list], Any]:
+    # phase one of a binder body whose bound variable lives in `slot`; in
+    # debug mode the body first tags the slot with the variable's key
+    body = cl(vp)
+    if not _debug:
+        return body
+
+    def tagged(env):
+        env.owners[slot] = key
+        return body(env)
+
+    return tagged
 
 
 def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
@@ -377,21 +399,15 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
     if len(vs) == 1:
         # x is the last free variable: run phase one now, the box is sealed
         name = _binder_name(x, ())
-        phase2 = cl({key: n})
-        size = n + 1
+        body = _bound_body(cl, {key: n}, n, key)
+        blank = [None] * (n + 1)
         if _debug:
-
-            def value_dbg(a):
-                env = _new_env(size, True)
-                _env_write(env, n, a, key)
-                return phase2(env)
-
-            return Closed(Binder(name, True, 0, mkfree, value_dbg))
+            blank = _DebugEnv(blank, blank.copy())
 
         def value(a):
-            env = _new_env(size, False)
+            env = blank.copy()
             env[n] = a
-            return phase2(env)
+            return body(env)
 
         return Closed(Binder(name, True, 0, mkfree, value))
     # x occurs along with other free variables: reserve the next bound slot
@@ -399,30 +415,17 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
     name = _binder_name(x, rest)
     rank = len(rest)
     slot = n
-    debug = _debug
 
     def phase1(vp):
         vp2 = dict(vp)
         vp2[key] = slot
-        body2 = cl(vp2)
-        if debug:
-
-            def phase2_dbg(env):
-                def value(a):
-                    env2 = _copy_env(env)
-                    _env_write(env2, slot, a, key)
-                    return body2(env2)
-
-                return Binder(name, True, rank, mkfree, value)
-
-            return phase2_dbg
+        body = _bound_body(cl, vp2, slot, key)
 
         def phase2(env):
             def value(a):
-                env2 = _Env(env)
-                env2.owners = None
+                env2 = env.copy()
                 env2[slot] = a
-                return body2(env2)
+                return body(env2)
 
             return Binder(name, True, rank, mkfree, value)
 
@@ -441,13 +444,9 @@ def unbox(b: BoxVal[T]) -> T:
     for i, v in enumerate(vs):
         vp[v.key] = n + i
     phase2 = b.closure(vp)
-    debug = _debug
-    env = _new_env(n + len(vs), debug)
-    for i, v in enumerate(vs):
-        if debug:
-            _env_write(env, n + i, v.mkfree(v), v.key)
-        else:
-            env[n + i] = v.mkfree(v)
+    env = [None] * n + [v.mkfree(v) for v in vs]
+    if _debug:
+        env = _DebugEnv(env, [None] * n + [v.key for v in vs])
     return phase2(env)
 
 
@@ -481,9 +480,8 @@ def eq_binder(
     eq: Callable[[B, B], bool], b1: Binder[A, B], b2: Binder[A, B]
 ) -> bool:
     """Compare two binder bodies after substituting one shared fresh variable."""
-    x = new_var(b1.mkfree, b1.name)
-    arg = x.mkfree(x)
-    return eq(subst(b1, arg), subst(b2, arg))
+    _, t1, t2 = unbind2(b1, b2)
+    return eq(t1, t2)
 
 
 def box_binder(

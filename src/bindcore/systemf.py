@@ -13,7 +13,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .combinators import box_apply, box_apply2
 from .core import (
     Binder,
     BoxVal,
@@ -21,6 +20,8 @@ from .core import (
     _binder_name,
     _split_name,
     bind_var,
+    box_apply,
+    box_apply2,
     box_binder,
     box_var,
     eq_binder,

@@ -13,6 +13,8 @@ from bindcore import (
     apply_box,
     bind_var,
     box,
+    box_apply,
+    box_apply2,
     box_vars,
     debug_enabled,
     enable_debug,
@@ -151,7 +153,7 @@ def test_criterion_4_applicative_laws(capsys):
                 closed_done += 1
                 # homomorphism on closed operands
                 fn = lambda val: ("wrapped", val)
-                assert unbox(apply_box(box(fn), w)) == fn(we)
+                assert unbox(box_apply(fn, w)) == unbox(apply_box(box(fn), w)) == fn(we)
 
 
 def test_criterion_5_free_variable_algebra(capsys):
@@ -165,13 +167,18 @@ def test_criterion_5_free_variable_algebra(capsys):
             if not (fk | ak):
                 continue
             pair = lambda p: lambda q: (p, q)
-            b = apply_box(apply_box(box(pair), f), a)
-            # union law, against independently tracked key sets
-            assert {v.key for v in box_vars(b)} == fk | ak
+            pair2 = lambda p, q: (p, q)
+            chained = apply_box(apply_box(box(pair), f), a)
+            direct = box_apply2(pair2, f, a)
+            assert box_vars(direct) == box_vars(chained)
+            assert unbox(direct) == unbox(chained)
             x = rng.choice(pool)
-            bb = bind_var(x, b)
-            assert {v.key for v in box_vars(bb)} == (fk | ak) - {x.key}
-            assert not occur(x, bb)
+            for b in (chained, direct):
+                # union law, against independently tracked key sets
+                assert {v.key for v in box_vars(b)} == fk | ak
+                bb = bind_var(x, b)
+                assert {v.key for v in box_vars(bb)} == (fk | ak) - {x.key}
+                assert not occur(x, bb)
             assert {v.key for v in box_vars(x.self_box)} == {x.key}
             done += 1
 

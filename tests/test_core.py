@@ -1,4 +1,5 @@
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,8 @@ from bindcore import (
     box_binder,
     box_var,
     box_vars,
+    debug_enabled,
+    enable_debug,
     eq_binder,
     eq_vars,
     is_closed,
@@ -296,6 +299,42 @@ def test_unbox_counts_lookups(debug_mode):
     assert phase1_lookup_count() == before + 1
 
 
+@contextmanager
+def debug_set(on):
+    prev = debug_enabled()
+    enable_debug(on)
+    try:
+        yield
+    finally:
+        enable_debug(prev)
+
+
+def test_fast_path_environment_is_a_plain_list():
+    x, y = new_var(mk, "x"), new_var(mk, "y")
+    # a body over x and y whose evaluation reports the environment's type
+    probe = Open((x, y), 0, lambda vp: lambda env: type(env))
+    with debug_set(False):
+        assert unbox(probe) is list
+        # x bound beside y (slot copied per substitution), then y last (sealed)
+        inner = bind_var(x, probe)
+        assert subst(unbox(inner), "a") is list
+        outer = unbox(bind_var(y, inner))
+        assert subst(subst(outer, "b"), "a") is list
+
+
+def test_debug_mode_is_read_at_seal_time():
+    x, y = new_var(mk, "x"), new_var(mk, "y")
+    pair = lambda p: lambda q: ("pair", p, q)
+    for build, seal in ((True, False), (False, True)):
+        with debug_set(build):
+            inner = bind_var(x, apply_box(apply_box(box(pair), box_var(x)), box_var(y)))
+        with debug_set(seal):
+            # sealed by binding the last free variable, and by unbox
+            outer = unbox(bind_var(y, inner))
+            assert subst(subst(outer, "b"), "a") == ("pair", "a", "b")
+            assert subst(unbox(inner), "a") == ("pair", "a", ("var", y))
+
+
 # --- randomized box algebra ---------------------------------------------------------
 
 
@@ -381,10 +420,9 @@ def test_key_generation_thread_safe():
 
 
 def test_debug_env_tag_mismatch_fails_loudly():
-    from bindcore.core import BindDebugError, _env_read, _env_write, _new_env
+    from bindcore.core import BindDebugError, _DebugEnv
 
-    env = _new_env(2, True)
-    _env_write(env, 0, "value", key=11)
-    assert _env_read(env, 0, 11) == "value"
+    env = _DebugEnv(["value", None], [11, None])
+    assert env.read(0, 11) == "value"
     with pytest.raises(BindDebugError):
-        _env_read(env, 0, 12)
+        env.read(0, 12)
