@@ -2,9 +2,10 @@
 
 Each input file is a sequence of statements (see `parser`).  `assert` runs
 the checker, `eval` normalizes under the beta-step budget, and `eval` and
-`print` emit canonical text, one line each, with binder names recomputed
-so the output never shows two variables under one name and is identical
-across runs.
+`print` emit canonical text, one line each.  Both print a term as it
+stands: parsing seals each statement and `nf` seals its result, and a seal
+names binders outermost first, so the output never shows two variables
+under one name and is identical across runs.
 
 Exit codes: 0 on success, 1 on an unreadable file or a parse or type
 error, 2 when the step budget runs out.  Errors go to stderr as
@@ -21,7 +22,7 @@ from typing import IO, Optional
 from ._stack import call_with_deep_stack
 from .core import enable_debug, phase1_lookup_count
 from .parser import AssertType, Def, Eval, ParseError, Print, Script, parse_script
-from .systemf import StepBudgetExceeded, nf, print_te, update_names
+from .systemf import StepBudgetExceeded, nf, print_te
 from .typecheck import TypeCheckError, check
 
 __all__ = ["main", "run_script"]
@@ -49,9 +50,9 @@ def run_script(
                 check([], stmt.te, stmt.ty)
             elif isinstance(stmt, Eval):
                 result = nf(stmt.te, max_steps=steps)
-                print(print_te(update_names(result), ascii=ascii_out), file=out)
+                print(print_te(result, ascii=ascii_out), file=out)
             elif isinstance(stmt, Print):
-                print(print_te(update_names(stmt.te), ascii=ascii_out), file=out)
+                print(print_te(stmt.te, ascii=ascii_out), file=out)
         except TypeCheckError as e:
             print(
                 f"{filename}:{stmt.line}:{stmt.col}: {e.code.value}: {e.message}",

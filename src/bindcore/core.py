@@ -9,6 +9,11 @@ which only performs slot-indexed reads and constant work per node.  No name
 or key is ever consulted during substitution, so capture cannot arise and
 substitution stays cheap no matter how often the binder is applied.
 
+Binder names are chosen in phase one too, outermost first: a binder keeps
+its variable's prefix and takes the smallest suffix that no variable free in
+its body shows under its final name.  So a freshly sealed value never shows
+two variables under one name; substitution does not rename.
+
 Debug instrumentation (slot-lookup counter, environment owner tags) is
 enabled by setting the BINDCORE_DEBUG environment variable to any non-empty
 value, or at runtime via `enable_debug`.  The mode is read when a box is
@@ -20,7 +25,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Generic, Optional, TypeVar, Union
+from typing import Any, Callable, Collection, Generic, Optional, TypeVar, Union
 
 T = TypeVar("T")
 A = TypeVar("A")
@@ -186,8 +191,9 @@ class Open(Generic[T]):
     """A box with free variables, evaluated through a two-phase closure.
 
     `vars` is strictly ascending by key; `bound` counts environment slots
-    already reserved for variables bound inside the box.  `closure` maps a
-    key-to-slot table to a function evaluating the content in a slot store.
+    already reserved for variables bound inside the box.  `closure` takes a
+    table from each free variable's key to its (slot, display name) pair and
+    returns a function evaluating the content in a slot store.
     """
 
     vars: tuple[Var, ...]
@@ -216,10 +222,10 @@ def new_var(mkfree: Callable[[Var[T]], T], name: str) -> Var[T]:
     def phase1(vp: dict, _key=key) -> Callable[[list], T]:
         if _debug:
             _stats.lookups += 1
-            slot = vp[_key]
+            slot = vp[_key][0]
             return lambda env: env.read(slot, _key)
-        slot = vp[_key]
-        return lambda env: env[slot]
+        # a default, not a closure cell: a sealed value keeps one per occurrence
+        return lambda env, slot=vp[_key][0]: env[slot]
 
     v.self_box = Open((v,), 0, phase1)
     return v
@@ -339,10 +345,10 @@ def _index_of(vs: tuple[Var, ...], key: int) -> int:
     return -1
 
 
-def _binder_name(x: Var, remaining: tuple[Var, ...]) -> str:
+def _binder_name(x: Var, taken: Collection[str]) -> str:
     # keep the prefix, pick the smallest suffix (none < 0 < 1 < ...) whose
-    # rendering clashes with no variable left free in the body
-    taken = {name_of(v) for v in remaining}
+    # rendering is not in `taken`, the names shown by the variables left
+    # free in the body
     prefix = x.prefix
     if prefix and prefix not in taken:
         return prefix
@@ -369,8 +375,9 @@ def _bound_body(cl: Callable, vp: dict, slot: int, key: int) -> Callable[[list],
 def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
     """Bind a variable in a box, producing a boxed binder.
 
-    The stored binder name is recomputed so that it cannot clash with any
-    variable remaining free in the body.
+    The binder's name is chosen when the box is sealed, once the names of
+    the variables left free in the body are final, so that it clashes with
+    none of them.
     """
     mkfree = x.mkfree
     if isinstance(b, Closed):
@@ -383,10 +390,10 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
     idx = _index_of(vs, key)
     if idx < 0:
         # bound variable absent from the body: constant binder, still open
-        name = _binder_name(x, vs)
         rank = len(vs)
 
         def phase1_skip(vp):
+            name = _binder_name(x, {vp[v.key][1] for v in vs})
             body2 = cl(vp)
 
             def phase2(env):
@@ -399,7 +406,7 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
     if len(vs) == 1:
         # x is the last free variable: run phase one now, the box is sealed
         name = _binder_name(x, ())
-        body = _bound_body(cl, {key: n}, n, key)
+        body = _bound_body(cl, {key: (n, name)}, n, key)
         blank = [None] * (n + 1)
         if _debug:
             blank = _DebugEnv(blank, blank.copy())
@@ -412,13 +419,13 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
         return Closed(Binder(name, True, 0, mkfree, value))
     # x occurs along with other free variables: reserve the next bound slot
     rest = vs[:idx] + vs[idx + 1:]
-    name = _binder_name(x, rest)
     rank = len(rest)
     slot = n
 
     def phase1(vp):
+        name = _binder_name(x, {vp[v.key][1] for v in rest})
         vp2 = dict(vp)
-        vp2[key] = slot
+        vp2[key] = (slot, name)
         body = _bound_body(cl, vp2, slot, key)
 
         def phase2(env):
@@ -442,7 +449,7 @@ def unbox(b: BoxVal[T]) -> T:
     n = b.bound
     vp = {}
     for i, v in enumerate(vs):
-        vp[v.key] = n + i
+        vp[v.key] = (n + i, name_of(v))
     phase2 = b.closure(vp)
     env = [None] * n + [v.mkfree(v) for v in vs]
     if _debug:

@@ -17,9 +17,7 @@ from .core import (
     Binder,
     BoxVal,
     Var,
-    _binder_name,
-    _split_name,
-    bind_var,
+    bind_var,  # unused here; `bench/layers.py` wraps `systemf.bind_var` by name
     box_apply,
     box_apply2,
     box_binder,
@@ -150,42 +148,32 @@ def _TeSpe(t: BoxVal[Te], a: BoxVal[Ty]) -> BoxVal[Te]:
 # --- lifting ---------------------------------------------------------------
 
 
-def _lifters(rebox):
-    """Lifting functions for types and terms.
-
-    `rebox(lift, f)` re-boxes the binder `f`, lifting its body with `lift`.
-    """
-
-    def lift_ty(a: Ty) -> BoxVal[Ty]:
-        """Re-open a finished type so its variables become bindable again."""
-        match a:
-            case TyVar(x):
-                return box_var(x)
-            case TyArr(dom, cod):
-                return _TyArr(lift_ty(dom), lift_ty(cod))
-            case TyAll(f):
-                return _TyAll(rebox(lift_ty, f))
-        raise TypeError(f"not a type: {a!r}")
-
-    def lift_te(t: Te) -> BoxVal[Te]:
-        """Re-open a finished term so its variables become bindable again."""
-        match t:
-            case TeVar(x):
-                return box_var(x)
-            case TeAbs(a, f):
-                return _TeAbs(lift_ty(a), rebox(lift_te, f))
-            case TeApp(fn, arg):
-                return _TeApp(lift_te(fn), lift_te(arg))
-            case TeLam(f):
-                return _TeLam(rebox(lift_te, f))
-            case TeSpe(fn, a):
-                return _TeSpe(lift_te(fn), lift_ty(a))
-        raise TypeError(f"not a term: {t!r}")
-
-    return lift_ty, lift_te
+def lift_ty(a: Ty) -> BoxVal[Ty]:
+    """Re-open a finished type so its variables become bindable again."""
+    match a:
+        case TyVar(x):
+            return box_var(x)
+        case TyArr(dom, cod):
+            return _TyArr(lift_ty(dom), lift_ty(cod))
+        case TyAll(f):
+            return _TyAll(box_binder(lift_ty, f))
+    raise TypeError(f"not a type: {a!r}")
 
 
-lift_ty, lift_te = _lifters(box_binder)
+def lift_te(t: Te) -> BoxVal[Te]:
+    """Re-open a finished term so its variables become bindable again."""
+    match t:
+        case TeVar(x):
+            return box_var(x)
+        case TeAbs(a, f):
+            return _TeAbs(lift_ty(a), box_binder(lift_te, f))
+        case TeApp(fn, arg):
+            return _TeApp(lift_te(fn), lift_te(arg))
+        case TeLam(f):
+            return _TeLam(box_binder(lift_te, f))
+        case TeSpe(fn, a):
+            return _TeSpe(lift_te(fn), lift_ty(a))
+    raise TypeError(f"not a term: {t!r}")
 
 
 # --- normalization ---------------------------------------------------------
@@ -377,40 +365,9 @@ def update_names(t: Te) -> Te:
     """Recompute the stored names of all binders in a term.
 
     Substitution never renames, so a term that went through substitutions
-    can display two distinct variables under the same name.  A binder's
-    name depends only on the final names of the variables free in its body,
-    so two walks settle every name.  The scan opens each binder once and
-    collects, bottom-up, the variables free in its body.  The rebuild lifts
-    the term once, outermost binder first: it renames the binder's scanned
-    variable by `bind_var`'s clash-avoiding rule, reopens the binder on that
-    variable and binds it again, so every name `bind_var` sees is final.
-    The result is a new term, alpha-equal to the input.
+    can display two distinct variables under the same name.  Sealing a box
+    names its binders outermost first, against the final names of the
+    variables free in each body, so relifting the term and sealing it once
+    settles every name.  The result is a new term, alpha-equal to the input.
     """
-    opened: list[tuple[Var, set[Var]]] = []  # in preorder, as the rebuild meets them
-
-    def scan(t: Union[Te, Ty, Binder], free: set[Var]) -> None:
-        match t:
-            case TeVar(x) | TyVar(x):
-                free.add(x)
-            case TeAbs(u, v) | TeApp(u, v) | TeSpe(u, v) | TyArr(u, v):
-                scan(u, free)
-                scan(v, free)
-            case TeLam(f) | TyAll(f):
-                scan(f, free)
-            case Binder():
-                x, body = unbind(t)
-                inner: set[Var] = set()
-                opened.append((x, inner))
-                scan(body, inner)
-                inner.discard(x)
-                free |= inner
-
-    def rebox(lift, f: Binder) -> BoxVal[Binder]:
-        x, rest = next(pending)
-        x.prefix, x.suffix = _split_name(_binder_name(x, rest))
-        return bind_var(x, lift(subst(f, x.mkfree(x))))
-
-    scan(t, set())
-    pending = iter(opened)
-    _, lift = _lifters(rebox)
-    return unbox(lift(t))
+    return unbox(lift_te(t))

@@ -276,6 +276,16 @@ def test_binder_name_minimal_suffix():
     assert b2.name == "x1"
 
 
+def test_binders_named_outermost_first():
+    # the inner binder avoids the name its free x is shown under once the
+    # outer binder is named, "x", not the name x was created with, "x2"
+    x = new_var(mk, "x2")
+    y = new_var(mk, "x")
+    outer = unbox(bind_var(x, bind_var(y, box_var(x))))
+    inner = subst(outer, ("lit", 0))
+    assert (outer.name, inner.name) == ("x", "x0")
+
+
 # --- two-phase discipline ----------------------------------------------------------
 
 

@@ -137,6 +137,10 @@ def test_print_parse_round_trip_canonical_strings():
         "(ΛX.λx:X.x [∀Y.Y])",
     ]:
         assert print_te(parse_term(s)) == s
+    # parsing seals the term, naming its binders outermost first
+    A = new_var(TyVar, "A")
+    shown = print_te(parse_term("fun f1:A. fun f2:A. (f1 f2)", [], [A]))
+    assert shown == "λf:A.λf0:A.(f f0)"
 
 
 def test_round_trip_random_terms_both_alphabets():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from bindcore import (
@@ -46,7 +47,7 @@ from bindcore.systemf import (
 )
 from bindcore.typecheck import infer
 from church import church, mult_term
-from gen import TermGen, churn, free_split
+from gen import TermGen, assert_no_visual_capture, churn, free_split
 
 
 def worked_example():
@@ -238,8 +239,9 @@ def test_hnf_is_prefix_of_nf():
     for _ in range(60):
         t, _ = g.sample()
         a = convert.te_to_named(nf(hnf(t)))
-        b = convert.te_to_named(nf(t))
-        assert debruijn.alpha_eq(a, b)
+        r = nf(t)
+        assert debruijn.alpha_eq(a, convert.te_to_named(r))
+        assert_no_visual_capture(r)  # the seal that ends `nf` names its binders
 
 
 # --- printing ---------------------------------------------------------------------
@@ -356,18 +358,81 @@ def test_update_names_idempotent():
     assert print_te(once) == print_te(twice)
 
 
-def fixed_point_names(t: Te) -> tuple[Te, int]:
-    """The former `update_names`: relift until the printed form settles.
+def _free_names(t) -> set[str]:
+    # qualified names free in a named term or type, term and type sorts alike
+    match t:
+        case named.Var(n) | named.TVar(n):
+            return {n}
+        case named.App(u, v) | named.Spe(u, v) | named.TArr(u, v):
+            return _free_names(u) | _free_names(v)
+        case named.Abs(x, a, b):
+            return _free_names(a) | (_free_names(b) - {x})
+        case named.Lam(x, b) | named.TAll(x, b):
+            return _free_names(b) - {x}
+    raise TypeError(f"not a named term or type: {t!r}")
 
-    Returns the settled term and the number of relifts it took.
+
+def _shown(qualified: str) -> str:
+    return qualified.split("#", 1)[0]
+
+
+def binder_names(t) -> list[str]:
+    """The display names of a named term's binders, in preorder."""
+    match t:
+        case named.Var() | named.TVar():
+            return []
+        case named.App(u, v) | named.Spe(u, v) | named.TArr(u, v):
+            return binder_names(u) + binder_names(v)
+        case named.Abs(x, a, b):
+            return [_shown(x)] + binder_names(a) + binder_names(b)
+        case named.Lam(x, b) | named.TAll(x, b):
+            return [_shown(x)] + binder_names(b)
+    raise TypeError(f"not a named term or type: {t!r}")
+
+
+def top_down_names(t) -> tuple[list[str], int]:
+    """Reference renaming of a named term (from `convert.te_to_named`).
+
+    Outermost binder first, each binder keeps its prefix and takes the
+    smallest suffix (none < 0 < 1 < ...) that no variable free in its body
+    shows, bound ones under the names already chosen for them.  Returns the
+    chosen names in preorder, and how many binders are pushed on by an
+    outer binder's new name: they would be named differently against the
+    names the input shows.
     """
-    shown, relifts = print_te(t), 0
-    while True:
-        t, relifts = unbox(lift_te(t)), relifts + 1
-        again = print_te(t)
-        if again == shown:
-            return t, relifts
-        shown = again
+    names: list[str] = []
+    pushed = 0
+
+    def pick(prefix: str, taken: set[str]) -> str:
+        if prefix and prefix not in taken:
+            return prefix
+        return next(
+            f"{prefix}{i}" for i in itertools.count() if f"{prefix}{i}" not in taken
+        )
+
+    def bind(x: str, body, shown: dict[str, str]) -> dict[str, str]:
+        nonlocal pushed
+        free = _free_names(body) - {x}
+        prefix = _shown(x).rstrip("0123456789")
+        name = pick(prefix, {shown.get(n, _shown(n)) for n in free})
+        pushed += name != pick(prefix, {_shown(n) for n in free})
+        names.append(name)
+        return {**shown, x: name}
+
+    def go(t, shown: dict[str, str]) -> None:
+        match t:
+            case named.App(u, v) | named.Spe(u, v) | named.TArr(u, v):
+                go(u, shown)
+                go(v, shown)
+            case named.Abs(x, a, b):
+                inner = bind(x, b, shown)
+                go(a, shown)
+                go(b, inner)
+            case named.Lam(x, b) | named.TAll(x, b):
+                go(b, bind(x, b, shown))
+
+    go(t, {})
+    return names, pushed
 
 
 def test_update_names_settles_chained_renaming():
@@ -385,10 +450,12 @@ def test_update_names_settles_chained_renaming():
     for t0, target, intruder, shown, want in cases:
         captured = subst(unbox(bind_var(target, lift_te(t0))), intruder)
         assert print_te(captured) == shown
-        assert fixed_point_names(captured)[1] == 3
         fixed = update_names(captured)
         assert print_te(fixed) == want
         assert eq_te(fixed, captured)
+        # both binders are renamed, the inner one only because the outer did
+        assert top_down_names(convert.te_to_named(captured)) == (
+            binder_names(convert.te_to_named(fixed)), 1)
 
 
 def test_update_names_matches_fixed_point():
@@ -396,15 +463,19 @@ def test_update_names_matches_fixed_point():
     g = TermGen(rng, max_depth=6, max_size=40)
     terms = [churn(rng, g.sample()[0]) for _ in range(500)]
     terms += [nf(g.sample()[0]) for _ in range(500)]
-    slow = 0
+    renamed = chained = 0
     for t in terms:
-        want, relifts = fixed_point_names(t)
-        slow += relifts > 1
-        assert print_te(update_names(t)) == print_te(want)
-    assert slow > 100  # many inputs need chained renaming
+        shown = convert.te_to_named(t)
+        want, pushed = top_down_names(shown)
+        renamed += want != binder_names(shown)
+        chained += pushed > 0
+        assert binder_names(convert.te_to_named(update_names(t))) == want
+    # many inputs need renaming, and some need chained renaming
+    assert renamed > 100 and chained > 5
 
 
 def test_update_names_opens_each_binder_once(monkeypatch):
+    import bindcore.core as core
     import bindcore.systemf as systemf
 
     rng = random.Random(808)
@@ -415,9 +486,11 @@ def test_update_names_opens_each_binder_once(monkeypatch):
     binders = [sum(print_te(t).count(c) for c in "λΛ∀") for t in terms]
     assert any("∀" in print_te(t) for t in terms)
     calls = {"unbind": 0, "unbox": 0}
+    # binders are opened by `core.box_binder`; the seal is `update_names`' own
+    counted = {"unbind": core, "unbox": systemf}
 
     def counting(name):
-        fn = getattr(systemf, name)
+        fn = getattr(counted[name], name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -425,8 +498,8 @@ def test_update_names_opens_each_binder_once(monkeypatch):
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(systemf, name, counting(name))
+    for name, module in counted.items():
+        monkeypatch.setattr(module, name, counting(name))
     for t, n in zip(terms, binders):
         calls.update(unbind=0, unbox=0)
         update_names(t)
