@@ -8,9 +8,11 @@ names binders outermost first, so the output never shows two variables
 under one name and is identical across runs.
 
 Exit codes: 0 on success, 1 on an unreadable file or a parse or type
-error, 2 when the step budget runs out.  Errors go to stderr as
-`file:line:col: code: message`, or `file: io-error: message` for a file
-that cannot be read.
+error, 2 when the step budget runs out, 3 when a statement or a file is
+too deep for the stack (`too-deep`) or too large for memory
+(`out-of-memory`).  Errors go to stderr as `file:line:col: code: message`,
+or `file: code: message` for a file that cannot be read (`io-error`) or
+parsed within those limits.
 """
 
 from __future__ import annotations
@@ -28,6 +30,13 @@ from .typecheck import TypeCheckError, check
 __all__ = ["main", "run_script"]
 
 DEFAULT_STEPS = 1_000_000
+
+
+def _exhausted(e: BaseException) -> str:
+    # the `code: message` of a RecursionError or a MemoryError
+    if isinstance(e, RecursionError):
+        return "too-deep: recursion limit exceeded"
+    return "out-of-memory: memory exhausted"
 
 
 def run_script(
@@ -65,6 +74,9 @@ def run_script(
                 file=err,
             )
             return 2
+        except (RecursionError, MemoryError) as e:
+            print(f"{filename}:{stmt.line}:{stmt.col}: {_exhausted(e)}", file=err)
+            return 3
     return 0
 
 
@@ -81,6 +93,9 @@ def _run_files(files: list[str], steps: int, ascii_out: bool) -> int:
         except ParseError as e:
             print(f"{path}:{e.line}:{e.col}: {e.code}: {e.message}", file=sys.stderr)
             return 1
+        except (RecursionError, MemoryError) as e:
+            print(f"{path}: {_exhausted(e)}", file=sys.stderr)
+            return 3
         code = run_script(script, path, steps, ascii_out)
         if code != 0:
             return code

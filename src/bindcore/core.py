@@ -377,7 +377,8 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
 
     The binder's name is chosen when the box is sealed, once the names of
     the variables left free in the body are final, so that it clashes with
-    none of them.
+    none of them.  Binding a box's last free variable leaves nothing open,
+    so that binder is sealed by `unbox` at once.
     """
     mkfree = x.mkfree
     if isinstance(b, Closed):
@@ -403,21 +404,7 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
             return phase2
 
         return Open(vs, n, phase1_skip)
-    if len(vs) == 1:
-        # x is the last free variable: run phase one now, the box is sealed
-        name = _binder_name(x, ())
-        body = _bound_body(cl, {key: (n, name)}, n, key)
-        blank = [None] * (n + 1)
-        if _debug:
-            blank = _DebugEnv(blank, blank.copy())
-
-        def value(a):
-            env = blank.copy()
-            env[n] = a
-            return body(env)
-
-        return Closed(Binder(name, True, 0, mkfree, value))
-    # x occurs along with other free variables: reserve the next bound slot
+    # x occurs in the body: reserve the next bound slot
     rest = vs[:idx] + vs[idx + 1:]
     rank = len(rest)
     slot = n
@@ -438,6 +425,10 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
 
         return phase2
 
+    if not rest:
+        # x was the last free variable: this Open has no variables and is
+        # sealed at once
+        return Closed(unbox(Open(rest, n + 1, phase1)))
     return Open(rest, n + 1, phase1)
 
 

@@ -94,8 +94,6 @@ Script = list
 
 # --- lexer -------------------------------------------------------------------
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
 _KEYWORDS = {
     "def": "def",
     "assert": "assert",
@@ -106,11 +104,13 @@ _KEYWORDS = {
     "all": "forall",
 }
 
-_SINGLE = {
+_SYMBOLS = {
     "λ": "lam",
     "Λ": "tlam",
     "∀": "forall",
     "⇒": "arrow",
+    "=>": "arrow",
+    "=": "equal",
     "(": "lparen",
     ")": "rparen",
     "[": "lbracket",
@@ -119,6 +119,11 @@ _SINGLE = {
     ".": "dot",
     ";": "semi",
 }
+
+# One alternative per kind of lexeme, tried in order: group 1 a newline,
+# then blanks (no group), group 2 a symbol (`=>` before `=`), group 3 an
+# identifier or keyword, group 4 any other character, which is an error.
+_TOKEN = re.compile(r"(\n)|[ \t\r]+|(=>|[=λΛ∀⇒()\[\]:.;])|([A-Za-z_][A-Za-z0-9_]*)|(.)")
 
 
 @dataclass
@@ -130,45 +135,23 @@ class _Token:
 
 
 def _lex(text: str) -> list[_Token]:
+    # a column is an offset from the start of its line, counted from 1
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("=>", i):
-            tokens.append(_Token("arrow", "=>", line, col))
-            i += 2
-            col += 2
-            continue
-        if c == "=":
-            tokens.append(_Token("equal", "=", line, col))
-            i += 1
-            col += 1
-            continue
-        kind = _SINGLE.get(c)
-        if kind is not None:
-            tokens.append(_Token(kind, c, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _IDENT.match(text, i)
-        if m is not None:
-            word = m.group(0)
+    line, start = 1, 0
+    for m in _TOKEN.finditer(text):
+        newline, symbol, word, other = m.groups()
+        col = m.start() - start + 1
+        if newline:
+            line, start = line + 1, m.end()
+        elif symbol:
+            tokens.append(_Token(_SYMBOLS[symbol], symbol, line, col))
+        elif word:
             tokens.append(_Token(_KEYWORDS.get(word, "ident"), word, line, col))
-            i = m.end()
-            col += len(word)
-            continue
-        raise ParseError("syntax-error", f"unexpected character {c!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+        elif other:
+            raise ParseError(
+                "syntax-error", f"unexpected character {other!r}", line, col
+            )
+    tokens.append(_Token("eof", "", line, len(text) - start + 1))
     return tokens
 
 
@@ -355,16 +338,11 @@ class _Parser:
             ty = unbox(self.type_())
             self.expect("semi", "';'")
             return AssertType(te, ty, tok.line, tok.col)
-        if tok.kind == "eval":
+        if tok.kind in ("eval", "print"):
             self.next()
             te = unbox(self.term())
             self.expect("semi", "';'")
-            return Eval(te, tok.line, tok.col)
-        if tok.kind == "print":
-            self.next()
-            te = unbox(self.term())
-            self.expect("semi", "';'")
-            return Print(te, tok.line, tok.col)
+            return (Eval if tok.kind == "eval" else Print)(te, tok.line, tok.col)
         self.fail("expected a statement (def, assert, eval, print)")
 
 

@@ -134,20 +134,12 @@ def check(ctx: Context, t: Te, a: Ty) -> None:
         case (TeLam(f1), TyAll(f2)):
             _, body, body_ty = unbind2(f1, f2)
             check(ctx, body, body_ty)
-        case (TeSpe(fn, b), expected):
-            match infer(ctx, fn):
-                case TyAll(f):
-                    got = subst(f, b)
-                    if not eq_ty(got, expected):
-                        raise TypeCheckError(
-                            ErrorCode.TYPE_MISMATCH_SPE,
-                            "[check] type mismatch... (spe)",
-                        )
-                case _:
-                    raise TypeCheckError(
-                        ErrorCode.EXPECTED_QUANTIFIER,
-                        "[infer] expected quantifier...",
-                    )
+        case (TeSpe(), expected):
+            if not eq_ty(infer(ctx, t), expected):
+                raise TypeCheckError(
+                    ErrorCode.TYPE_MISMATCH_SPE,
+                    "[check] type mismatch... (spe)",
+                )
         case _:
             raise TypeCheckError(
                 ErrorCode.NOT_TYPABLE,

@@ -2,6 +2,9 @@ import io
 import subprocess
 import sys
 
+import pytest
+
+import bindcore.cli
 from bindcore.cli import main, run_script
 from bindcore.parser import parse_script
 
@@ -128,3 +131,42 @@ def test_cli_checks_annotated_definitions(tmp_path):
     r = run_cli([str(path)])
     assert r.returncode == 1
     assert "not-typable" in r.stderr
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc()
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [(RecursionError, "too-deep"), (MemoryError, "out-of-memory")],
+)
+def test_cli_statement_out_of_resources_exit_3(tmp_path, capsys, monkeypatch, exc, code):
+    path = tmp_path / "deep.sf"
+    path.write_text(
+        "def id = ΛX.λx:X.x;\nprint id;\neval id;\nprint id;\n", encoding="utf-8"
+    )
+    monkeypatch.setattr(bindcore.cli, "nf", _raise(exc))
+    assert main([str(path)]) == 3
+    r = capsys.readouterr()
+    assert r.out == "ΛX.λx:X.x\n"  # the statements before it ran, none after
+    assert r.err.startswith(f"{path}:3:1: {code}: ")
+    assert r.err.count("\n") == 1 and "Traceback" not in r.err
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [(RecursionError, "too-deep"), (MemoryError, "out-of-memory")],
+)
+def test_cli_file_out_of_resources_exit_3(tmp_path, capsys, monkeypatch, exc, code):
+    path = tmp_path / "deep.sf"
+    path.write_text("print ΛX.λx:X.x;\n", encoding="utf-8")
+    monkeypatch.setattr(bindcore.cli, "parse_script", _raise(exc))
+    assert main([str(path)]) == 3
+    r = capsys.readouterr()
+    assert r.out == ""
+    assert r.err.startswith(f"{path}: {code}: ")
+    assert r.err.count("\n") == 1 and "Traceback" not in r.err

@@ -71,6 +71,38 @@ def test_syntax_error_position():
     assert (e.value.line, e.value.col) == (1, 20)
 
 
+@pytest.mark.parametrize(
+    "src, expected",
+    [
+        # CRLF line ends; a tab and a blank each take one column
+        (
+            "def id = ΛX.λx:X.x;\r\n\tprint id;\r\n\t def k = ;\r\n",
+            ("syntax-error", "expected a term, found ;", 3, 11),
+        ),
+        # λ, ⇒ and ∀ each take one column
+        (
+            "assert ΛY.λy:∀X.(X ⇒ Y).y : ∀Y.(∀X.(X ⇒ Y) ⇒ ∀X.(X ⇒ Y))]",
+            ("syntax-error", "expected ';', found ]", 1, 57),
+        ),
+        # `==>` lexes as `=` then `=>`
+        (
+            "def k ==> ΛX.λx:X.x;",
+            ("syntax-error", "expected a term, found =>", 1, 8),
+        ),
+        ("print é;", ("syntax-error", "unexpected character 'é'", 1, 7)),
+        # end of input sits after the last newline
+        (
+            "def id = ΛX.λx:X.\n",
+            ("syntax-error", "expected a term, found end of input", 2, 1),
+        ),
+    ],
+)
+def test_lexer_positions(src, expected):
+    with pytest.raises(ParseError) as e:
+        parse_script(src)
+    assert (e.value.code, e.value.message, e.value.line, e.value.col) == expected
+
+
 def test_unbound_identifier():
     with pytest.raises(ParseError) as e:
         parse_term("λx:(∀X.X).y")

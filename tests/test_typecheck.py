@@ -120,6 +120,10 @@ def test_check_spe_and_not_typable_codes():
     with pytest.raises(TypeCheckError) as e:
         check([], spe, TyArr(TyVar(A), TyVar(A)))
     assert e.value.code is ErrorCode.TYPE_MISMATCH_SPE
+    # specialising a term whose type is no quantifier
+    with pytest.raises(TypeCheckError, match=r"\[infer\] expected quantifier") as e:
+        check([(x, TyVar(A))], TeSpe(TeVar(x), TyVar(A)), TyVar(A))
+    assert e.value.code is ErrorCode.EXPECTED_QUANTIFIER
     with pytest.raises(TypeCheckError) as e:
         check([], _id_of(A), TyVar(A))  # an abstraction against a variable
     assert e.value.code is ErrorCode.NOT_TYPABLE
