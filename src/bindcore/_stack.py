@@ -16,19 +16,22 @@ from typing import Any, Callable
 
 __all__ = ["call_with_deep_stack"]
 
+_STACK_BYTES = 512 * 1024 * 1024  # the deep thread's stack
+_RECURSION_LIMIT = 1_000_000  # the limit while a deep call runs
+
 _lock = threading.Lock()  # guards `_active`, `_saved_limit` and the stack size
 _active = 0  # deep calls running
 _saved_limit = 0  # the recursion limit before the first of them started
 
 
-def _enter(recursion_limit: int) -> None:
+def _enter() -> None:
     global _active, _saved_limit
     with _lock:
         if _active == 0:
             _saved_limit = sys.getrecursionlimit()
         _active += 1
-        if recursion_limit > sys.getrecursionlimit():
-            sys.setrecursionlimit(recursion_limit)
+        if _RECURSION_LIMIT > sys.getrecursionlimit():
+            sys.setrecursionlimit(_RECURSION_LIMIT)
 
 
 def _leave() -> None:
@@ -39,16 +42,11 @@ def _leave() -> None:
             sys.setrecursionlimit(_saved_limit)
 
 
-def call_with_deep_stack(
-    fn: Callable[..., Any],
-    *args: Any,
-    stack_bytes: int = 512 * 1024 * 1024,
-    recursion_limit: int = 1_000_000,
-) -> Any:
+def call_with_deep_stack(fn: Callable[..., Any], *args: Any) -> Any:
     outcome: list = []
 
     def runner() -> None:
-        _enter(recursion_limit)
+        _enter()
         try:
             outcome.append((True, fn(*args)))
         except BaseException as exc:  # re-raised on the calling thread
@@ -57,7 +55,7 @@ def call_with_deep_stack(
             _leave()
 
     with _lock:  # the stack size is process-wide too
-        old_size = threading.stack_size(stack_bytes)
+        old_size = threading.stack_size(_STACK_BYTES)
         try:
             thread = threading.Thread(target=runner, name="bindcore-deep")
             thread.start()

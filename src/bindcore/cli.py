@@ -7,12 +7,12 @@ stands: parsing seals each statement and `nf` seals its result, and a seal
 names binders outermost first, so the output never shows two variables
 under one name and is identical across runs.
 
-Exit codes: 0 on success, 1 on an unreadable file or a parse or type
-error, 2 when the step budget runs out, 3 when a statement or a file is
-too deep for the stack (`too-deep`) or too large for memory
-(`out-of-memory`).  Errors go to stderr as `file:line:col: code: message`,
-or `file: code: message` for a file that cannot be read (`io-error`) or
-parsed within those limits.
+Exit codes: 0 on success, 1 on a file that cannot be read or decoded as
+UTF-8 or on a parse or type error, 2 when the step budget runs out, 3 when
+a statement or a file is too deep for the stack (`too-deep`) or too large
+for memory (`out-of-memory`).  Errors go to stderr as
+`file:line:col: code: message`, or `file: code: message` for a file that
+cannot be read or decoded (`io-error`) or parsed within those limits.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def _run_files(files: list[str], steps: int, ascii_out: bool) -> int:
         try:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             print(f"{path}: io-error: {e}", file=sys.stderr)
             return 1
         try:

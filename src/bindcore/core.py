@@ -86,9 +86,9 @@ _stats = _Stats()
 def enable_debug(on: bool = True) -> None:
     """Toggle debug instrumentation at runtime.
 
-    The mode is read when a box is sealed (by `unbox`, or by `bind_var` of
-    its last free variable), so it applies to boxes sealed after the call;
-    binders sealed before keep the mode they were sealed in.
+    The mode is read when `unbox` seals a box, so it applies to boxes
+    sealed after the call; binders sealed before keep the mode they were
+    sealed in.
     """
     global _debug
     _debug = bool(on)
@@ -139,20 +139,24 @@ _keys = itertools.count()  # atomic under CPython; sole shared mutable state
 class Var(Generic[T]):
     """A free variable: a globally unique key plus a display name.
 
+    `name` is the name the variable was given and renders as; a binder of
+    the variable keeps only its `prefix` and picks the smallest free suffix.
     `mkfree` injects the variable into its syntax type; `self_box` is the
     variable's boxed form, computed once at creation.
     """
 
-    __slots__ = ("key", "prefix", "suffix", "mkfree", "self_box")
+    __slots__ = ("key", "name", "prefix", "suffix", "mkfree", "self_box")
 
     key: int
+    name: str
     prefix: str
     suffix: Optional[int]
     mkfree: Callable[["Var[T]"], T]
     self_box: "Open[T]"
 
-    def __init__(self, key, prefix, suffix, mkfree):
+    def __init__(self, key, name, prefix, suffix, mkfree):
         self.key = key
+        self.name = name
         self.prefix = prefix
         self.suffix = suffix
         self.mkfree = mkfree
@@ -216,7 +220,7 @@ def new_var(mkfree: Callable[[Var[T]], T], name: str) -> Var[T]:
     if not name:
         raise ValueError("variable name must be non-empty")
     prefix, suffix = _split_name(name)
-    v: Var[T] = Var(next(_keys), prefix, suffix, mkfree)
+    v: Var[T] = Var(next(_keys), name, prefix, suffix, mkfree)
     key = v.key
 
     def phase1(vp: dict, _key=key) -> Callable[[list], T]:
@@ -232,8 +236,7 @@ def new_var(mkfree: Callable[[Var[T]], T], name: str) -> Var[T]:
 
 
 def name_of(v: Var) -> str:
-    suffix = v.suffix
-    return v.prefix if suffix is None else f"{v.prefix}{suffix}"
+    return v.name
 
 
 def eq_vars(v1: Var, v2: Var) -> bool:

@@ -12,13 +12,18 @@ Redundant parentheses around a term or type are tolerated.  Identifiers
 bound by an enclosing binder resolve lexically; in scripts the remaining
 identifiers must name an earlier definition, which is inlined at the use
 site.  Anything else is an unbound-identifier error.
+
+Parsing takes one pass: the parser reads tokens as they are lexed and
+builds each statement in a box as it goes.  A bad character anywhere in the
+text is reported before any other parse error: on an error the parser
+lexes the rest of the text first.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, NoReturn, Optional, Union
 
 from .core import BoxVal, Var, bind_var, box, box_var, name_of, new_var, unbox
 from .systemf import (
@@ -134,9 +139,8 @@ class _Token:
     col: int
 
 
-def _lex(text: str) -> list[_Token]:
+def _lex(text: str) -> Iterator[_Token]:
     # a column is an offset from the start of its line, counted from 1
-    tokens: list[_Token] = []
     line, start = 1, 0
     for m in _TOKEN.finditer(text):
         newline, symbol, word, other = m.groups()
@@ -144,110 +148,106 @@ def _lex(text: str) -> list[_Token]:
         if newline:
             line, start = line + 1, m.end()
         elif symbol:
-            tokens.append(_Token(_SYMBOLS[symbol], symbol, line, col))
+            yield _Token(_SYMBOLS[symbol], symbol, line, col)
         elif word:
-            tokens.append(_Token(_KEYWORDS.get(word, "ident"), word, line, col))
+            yield _Token(_KEYWORDS.get(word, "ident"), word, line, col)
         elif other:
             raise ParseError(
                 "syntax-error", f"unexpected character {other!r}", line, col
             )
-    tokens.append(_Token("eof", "", line, len(text) - start + 1))
-    return tokens
+    yield _Token("eof", "", line, len(text) - start + 1)
 
 
 # --- parser ------------------------------------------------------------------
 
+# A scope maps each name of one sort to the box it denotes right now: a
+# bound or free variable, or a definition.  None marks a name restored to
+# not being in scope.
+_Scope = dict[str, Optional[BoxVal]]
 
-def _as_name_map(
-    free: Union[Mapping[str, Var], Iterable[Var], None]
-) -> dict[str, Var]:
+
+def _scope(free: Union[Mapping[str, Var], Iterable[Var], None]) -> _Scope:
+    # the scope a parse starts from: each free variable under its name
     if free is None:
         return {}
     if isinstance(free, Mapping):
-        return dict(free)
-    out: dict[str, Var] = {}
+        return {name: box_var(v) for name, v in free.items()}
+    out: _Scope = {}
     for v in free:
         name = name_of(v)
         if name in out:
             raise ValueError(f"two free variables named {name!r}")
-        out[name] = v
+        out[name] = box_var(v)
     return out
 
 
 class _Parser:
-    def __init__(
-        self,
-        tokens: list[_Token],
-        free_te: Optional[dict[str, Var]] = None,
-        free_ty: Optional[dict[str, Var]] = None,
-    ) -> None:
-        self.tokens = tokens
-        self.pos = 0
-        self.free_te = free_te or {}
-        self.free_ty = free_ty or {}
-        self.te_scope: dict[str, list[Var]] = {}
-        self.ty_scope: dict[str, list[Var]] = {}
-        self.defs: dict[str, Te] = {}
+    """Reads tokens as they are lexed, keeping only the current one.
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    A binder saves its name's scope entry, parses its body and restores
+    the entry.  An error ends the parse and the parser is thrown away, so
+    the restore needs no `finally`.
+    """
+
+    def __init__(self, text: str, te_scope: _Scope, ty_scope: _Scope) -> None:
+        self.tokens = _lex(text)
+        self.tok = next(self.tokens)
+        self.te_scope = te_scope
+        self.ty_scope = ty_scope
 
     def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.tok
+        self.tok = next(self.tokens, tok)  # eof repeats
         return tok
 
     def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"expected {what}", tok)
+        if self.tok.kind != kind:
+            self.fail(f"expected {what}")
         return self.next()
 
-    def fail(self, message: str, tok: Optional[_Token] = None) -> None:
-        tok = tok or self.peek()
-        shown = tok.text if tok.kind != "eof" else "end of input"
-        raise ParseError(
-            "syntax-error", f"{message}, found {shown}", tok.line, tok.col
-        )
+    def error(self, code: str, message: str, tok: _Token) -> NoReturn:
+        # a bad character anywhere in the text is reported first: draining
+        # the lexer raises its error
+        for _ in self.tokens:
+            pass
+        raise ParseError(code, message, tok.line, tok.col)
 
-    def unbound(self, tok: _Token) -> None:
-        raise ParseError(
-            "unbound-identifier", f"unbound identifier {tok.text!r}", tok.line, tok.col
-        )
+    def fail(self, message: str) -> NoReturn:
+        tok = self.tok
+        shown = tok.text if tok.kind != "eof" else "end of input"
+        self.error("syntax-error", f"{message}, found {shown}", tok)
+
+    def lookup(self, scope: _Scope, tok: _Token) -> BoxVal:
+        b = scope.get(tok.text)
+        if b is None:
+            self.error("unbound-identifier", f"unbound identifier {tok.text!r}", tok)
+        return b
 
     # types
 
     def type_(self) -> BoxVal[Ty]:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "ident":
             self.next()
-            stack = self.ty_scope.get(tok.text)
-            if stack:
-                return box_var(stack[-1])
-            if tok.text in self.free_ty:
-                return box_var(self.free_ty[tok.text])
-            self.unbound(tok)
+            return self.lookup(self.ty_scope, tok)
         if tok.kind == "forall":
             self.next()
             name = self.expect("ident", "a type variable").text
             self.expect("dot", "'.'")
             x = new_var(TyVar, name)
-            self.ty_scope.setdefault(name, []).append(x)
-            try:
-                body = self.type_()
-            finally:
-                self.ty_scope[name].pop()
+            old, self.ty_scope[name] = self.ty_scope.get(name), box_var(x)
+            body = self.type_()
+            self.ty_scope[name] = old
             return _TyAll(bind_var(x, body))
         if tok.kind == "lparen":
             self.next()
             a = self.type_()
-            tok = self.peek()
-            if tok.kind == "arrow":
+            if self.tok.kind == "arrow":
                 self.next()
                 b = self.type_()
                 self.expect("rparen", "')'")
                 return _TyArr(a, b)
-            if tok.kind == "rparen":
+            if self.tok.kind == "rparen":
                 self.next()
                 return a
             self.fail("expected '⇒' or ')'")
@@ -256,17 +256,10 @@ class _Parser:
     # terms
 
     def term(self) -> BoxVal[Te]:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "ident":
             self.next()
-            stack = self.te_scope.get(tok.text)
-            if stack:
-                return box_var(stack[-1])
-            if tok.text in self.free_te:
-                return box_var(self.free_te[tok.text])
-            if tok.text in self.defs:
-                return box(self.defs[tok.text])  # definitions are closed
-            self.unbound(tok)
+            return self.lookup(self.te_scope, tok)
         if tok.kind == "lam":
             self.next()
             name = self.expect("ident", "a variable").text
@@ -274,34 +267,29 @@ class _Parser:
             a = self.type_()
             self.expect("dot", "'.'")
             x = new_var(TeVar, name)
-            self.te_scope.setdefault(name, []).append(x)
-            try:
-                body = self.term()
-            finally:
-                self.te_scope[name].pop()
+            old, self.te_scope[name] = self.te_scope.get(name), box_var(x)
+            body = self.term()
+            self.te_scope[name] = old
             return _TeAbs(a, bind_var(x, body))
         if tok.kind == "tlam":
             self.next()
             name = self.expect("ident", "a type variable").text
             self.expect("dot", "'.'")
             x = new_var(TyVar, name)
-            self.ty_scope.setdefault(name, []).append(x)
-            try:
-                body = self.term()
-            finally:
-                self.ty_scope[name].pop()
+            old, self.ty_scope[name] = self.ty_scope.get(name), box_var(x)
+            body = self.term()
+            self.ty_scope[name] = old
             return _TeLam(bind_var(x, body))
         if tok.kind == "lparen":
             self.next()
             t = self.term()
-            tok = self.peek()
-            if tok.kind == "lbracket":
+            if self.tok.kind == "lbracket":
                 self.next()
                 a = self.type_()
                 self.expect("rbracket", "']'")
                 self.expect("rparen", "')'")
                 return _TeSpe(t, a)
-            if tok.kind == "rparen":
+            if self.tok.kind == "rparen":
                 self.next()
                 return t
             u = self.term()
@@ -313,23 +301,23 @@ class _Parser:
 
     def script(self) -> Script:
         stmts: list[Stmt] = []
-        while self.peek().kind != "eof":
+        while self.tok.kind != "eof":
             stmts.append(self.stmt())
         return stmts
 
     def stmt(self) -> Stmt:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "def":
             self.next()
             name = self.expect("ident", "a definition name").text
             annot: Optional[Ty] = None
-            if self.peek().kind == "colon":
+            if self.tok.kind == "colon":
                 self.next()
                 annot = unbox(self.type_())
             self.expect("equal", "'='")
             te = unbox(self.term())
             self.expect("semi", "';'")
-            self.defs[name] = te
+            self.te_scope[name] = box(te)  # definitions are closed
             return Def(name, annot, te, tok.line, tok.col)
         if tok.kind == "assert":
             self.next()
@@ -348,8 +336,7 @@ class _Parser:
 
 def parse_script(text: str) -> Script:
     """Parse a whole script; definitions are inlined into later statements."""
-    p = _Parser(_lex(text))
-    return p.script()
+    return _Parser(text, {}, {}).script()
 
 
 def parse_term(
@@ -358,7 +345,7 @@ def parse_term(
     free_ty: Union[Mapping[str, Var], Iterable[Var], None] = None,
 ) -> Te:
     """Parse one term; `free_te`/`free_ty` resolve otherwise-unbound names."""
-    p = _Parser(_lex(text), _as_name_map(free_te), _as_name_map(free_ty))
+    p = _Parser(text, _scope(free_te), _scope(free_ty))
     b = p.term()
     p.expect("eof", "end of input")
     return unbox(b)
@@ -369,7 +356,7 @@ def parse_type(
     free_ty: Union[Mapping[str, Var], Iterable[Var], None] = None,
 ) -> Ty:
     """Parse one type; `free_ty` resolves otherwise-unbound names."""
-    p = _Parser(_lex(text), None, _as_name_map(free_ty))
+    p = _Parser(text, {}, _scope(free_ty))
     b = p.type_()
     p.expect("eof", "end of input")
     return unbox(b)

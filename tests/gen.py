@@ -280,8 +280,8 @@ def churn(rng: random.Random, t: Te, rounds: int = 3) -> Te:
         binder = unbox(bind_var(target, lift_te(t)))
         taken = {name_of(v) for v in (*te_frees, *ty_frees)}
         base = rng.choice(sorted(binder_names(t)) or ["x"])
-        # candidates must render as themselves, or two frees could collide
-        # after suffix normalization ("c00" renders as "c0")
+        # the base itself unless a free variable shows it, else the base's
+        # prefix with the smallest suffix that none shows
         prefix = base.rstrip("0123456789") or "x"
         name, i = base, 0
         while name in taken:

@@ -77,6 +77,16 @@ def test_cli_unreadable_file_exit_1(tmp_path):
     assert r.stderr.startswith(f"{path}: io-error: ")
     assert "syntax-error" not in r.stderr
     assert r.stdout == ""
+    # bytes that are not UTF-8 are an io-error too, not a traceback
+    bad = tmp_path / "bad.sf"
+    bad.write_bytes(b"print \xff;\n")
+    r = run_cli([str(bad)])
+    assert r.returncode == 1
+    assert r.stderr == (
+        f"{bad}: io-error: 'utf-8' codec can't decode byte 0xff in position 6: "
+        "invalid start byte\n"
+    )
+    assert r.stdout == ""
 
 
 def test_cli_unbound_identifier(tmp_path):

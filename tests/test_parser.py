@@ -95,6 +95,16 @@ def test_syntax_error_position():
             "def id = ΛX.λx:X.\n",
             ("syntax-error", "expected a term, found end of input", 2, 1),
         ),
+        # a bad character is reported before an earlier syntax error
+        (
+            "def k = ;\nprint @;\n",
+            ("syntax-error", "unexpected character '@'", 2, 7),
+        ),
+        # and before an earlier unbound identifier
+        (
+            "eval missing;\n  %\n",
+            ("syntax-error", "unexpected character '%'", 2, 3),
+        ),
     ],
 )
 def test_lexer_positions(src, expected):
@@ -118,6 +128,15 @@ def test_free_variables_resolved_by_name():
     assert eq_te(t, TeApp(TeVar(y), TeVar(y)))
     a = parse_type("(X ⇒ X)", free_ty=[X])
     assert eq_ty(a, TyArr(TyVar(X), TyVar(X)))
+    # a binder shadows the free y only in its body: the argument is free
+    t = parse_term("(λy:X.y y)", free_te=[y], free_ty=[X])
+    assert isinstance(t, TeApp) and isinstance(t.fn, TeAbs)
+    assert isinstance(t.arg, TeVar) and eq_vars(t.arg.var, y)
+    # a variable goes by the name it was given, leading zeros included
+    x007, x7 = new_var(TeVar, "x007"), new_var(TeVar, "x7")
+    t = parse_term("(x007 x7)", free_te=[x007, x7])
+    assert eq_te(t, TeApp(TeVar(x007), TeVar(x7)))
+    assert print_te(t) == "(x007 x7)"
 
 
 def test_parse_script_def_and_statements():
@@ -146,10 +165,10 @@ def test_defs_must_precede_use():
 
 def test_lexical_scope_shadows_defs():
     script = parse_script(
-        "def id = ΛX.λx:X.x;\n" "print λid:(∀X.(X ⇒ X)).id;\n"
+        "def id = ΛX.λx:X.x;\n" "print (λid:(∀X.(X ⇒ X)).id id);\n"
     )
-    body = script[1].te
-    assert isinstance(body, TeAbs)  # the bound id, not the definition
+    # the bound id inside the binder, the definition again after it
+    assert print_te(script[1].te) == "(λid:∀X.(X ⇒ X).id ΛX.λx:X.x)"
 
 
 def test_keywords_are_reserved():
