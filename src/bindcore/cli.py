@@ -10,14 +10,18 @@ under one name and is identical across runs.
 Exit codes: 0 on success, 1 on a file that cannot be read or decoded as
 UTF-8 or on a parse or type error, 2 when the step budget runs out, 3 when
 a statement or a file is too deep for the stack (`too-deep`) or too large
-for memory (`out-of-memory`).  Errors go to stderr as
-`file:line:col: code: message`, or `file: code: message` for a file that
-cannot be read or decoded (`io-error`) or parsed within those limits.
+for memory (`out-of-memory`), 141 when the reader of stdout goes away
+before the output is written, as in `bindcore FILE | head -1` (128 +
+SIGPIPE, the status a shell reports for a filter ended by a closed pipe;
+nothing is printed).  Errors go to stderr as `file:line:col: code:
+message`, or `file: code: message` for a file that cannot be read or
+decoded (`io-error`) or parsed within those limits.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import IO, Optional
 
@@ -30,6 +34,7 @@ from .typecheck import TypeCheckError, check
 __all__ = ["main", "run_script"]
 
 DEFAULT_STEPS = 1_000_000
+EXIT_CLOSED_PIPE = 141
 
 
 def _exhausted(e: BaseException) -> str:
@@ -127,7 +132,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     ns = ap.parse_args(argv)
     if ns.debug:
         enable_debug(True)
-    code = call_with_deep_stack(_run_files, ns.files, ns.steps, ns.ascii)
+    try:
+        code = call_with_deep_stack(_run_files, ns.files, ns.steps, ns.ascii)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # the flush at exit would fail again: point stdout at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     if ns.debug:
         print(f"phase1 lookups: {phase1_lookup_count()}", file=sys.stderr)
     return code

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import itertools
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Collection, Generic, Optional, TypeVar, Union
 
 T = TypeVar("T")
@@ -253,11 +255,43 @@ def box_var(v: Var[T]) -> BoxVal[T]:
     return v.self_box
 
 
+_key = attrgetter("key")
+
+
 def _merge_vars(a: tuple[Var, ...], b: tuple[Var, ...]) -> tuple[Var, ...]:
-    # key-sorted union of two sorted variable tuples
-    out: list[Var] = []
-    i = j = 0
+    # key-sorted union of two sorted, non-empty variable tuples; short pairs,
+    # most of nf's readback, are fastest in the plain loop at the end
     la, lb = len(a), len(b)
+    if la > 3 or lb > 3:
+        if a[-1].key < b[0].key:
+            return a + b
+        if b[-1].key < a[0].key:
+            return b + a
+        if la > lb:
+            a, b, la, lb = b, a, lb, la
+        if la == 1:
+            k = a[0].key
+            i = bisect_left(b, k, key=_key)
+            if i < lb and b[i].key == k:
+                return b
+            return b[:i] + a + b[i:]
+        if 8 * la <= lb:
+            # place each variable of the much shorter a into b by bisection,
+            # and copy the runs of b between them as slices
+            out: list[Var] = []
+            lo = 0
+            for v in a:
+                k = v.key
+                i = bisect_left(b, k, lo, key=_key)
+                out += b[lo:i]
+                if i == lb or b[i].key != k:
+                    out.append(v)
+                lo = i
+            out += b[lo:]
+            return tuple(out)
+    # short sides, or sides of like length: one pass over both
+    out = []
+    i = j = 0
     while i < la and j < lb:
         ka, kb = a[i].key, b[j].key
         if ka == kb:
@@ -339,13 +373,8 @@ def box_apply(f: Callable[[A], B], a: BoxVal[A]) -> BoxVal[B]:
 
 
 def _index_of(vs: tuple[Var, ...], key: int) -> int:
-    for i, v in enumerate(vs):
-        k = v.key
-        if k == key:
-            return i
-        if k > key:
-            return -1
-    return -1
+    i = bisect_left(vs, key, key=_key)
+    return i if i < len(vs) and vs[i].key == key else -1
 
 
 def _binder_name(x: Var, taken: Collection[str]) -> str:
@@ -414,9 +443,15 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
 
     def phase1(vp):
         name = _binder_name(x, {vp[v.key][1] for v in rest})
-        vp2 = dict(vp)
-        vp2[key] = (slot, name)
-        body = _bound_body(cl, vp2, slot, key)
+        # the one table of this seal: enter x for the body, then restore the
+        # entry of an outer x that shares the key, if any
+        outer = vp.get(key)
+        vp[key] = (slot, name)
+        body = _bound_body(cl, vp, slot, key)
+        if outer is None:
+            del vp[key]
+        else:
+            vp[key] = outer
 
         def phase2(env):
             def value(a):

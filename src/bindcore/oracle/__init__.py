@@ -2,10 +2,11 @@
 
 `named` holds the naive name-based terms with capture-avoiding substitution
 and a reference normalizer; `debruijn` the canonical index form deciding
-alpha-equivalence.  Neither imports the binding core.  `convert` bridges
-the two worlds and is the only module here that may.
+alpha-equivalence; `typer` reference type inference on named terms.  None
+of them imports the binding core.  `convert` bridges the two worlds and is
+the only module here that may.
 """
 
-from . import convert, debruijn, named
+from . import convert, debruijn, named, typer
 
-__all__ = ["named", "debruijn", "convert"]
+__all__ = ["named", "debruijn", "typer", "convert"]

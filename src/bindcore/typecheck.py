@@ -4,6 +4,15 @@
 raise `TypeCheckError` carrying a stable error code from the closed
 enumeration below, so callers (notably the command-line driver) can report
 machine-readable diagnostics.
+
+Both entry points take a `Context`, a list of (variable, type) pairs with
+the nearest binding first.  Each converts it once to a dict from variable
+key to type, keeping the nearest binding of each key; below the entry
+point the checker adds one entry for each term binder it opens and removes
+it when the binder's body is done.  `unbind` opens every binder on a
+globally fresh variable, so an added key is never in the dict already and
+no shadowing arises: a lookup is one dict access and no binder copies the
+context.
 """
 
 from __future__ import annotations
@@ -37,6 +46,8 @@ __all__ = [
 
 # ordered, most recent binding first; lookups compare variable keys
 Context = list[tuple[Var, Ty]]
+# the checker's own context: variable key to type, one entry per key
+_Keyed = dict[int, Ty]
 
 
 class ErrorCode(Enum):
@@ -64,11 +75,29 @@ def find_ctxt(x: Var, ctx: Context) -> Optional[Ty]:
     return None
 
 
+def _keyed(ctx: Context) -> _Keyed:
+    # the nearest binding wins: it is entered last
+    return {x.key: a for x, a in reversed(ctx)}
+
+
 def infer(ctx: Context, t: Te) -> Ty:
     """Synthesize the type of a term, or raise `TypeCheckError`."""
+    return _infer(_keyed(ctx), t)
+
+
+def check(ctx: Context, t: Te, a: Ty) -> None:
+    """Check a term against a type, or raise `TypeCheckError`."""
+    _check(_keyed(ctx), t, a)
+
+
+# `_infer` and `_check` own their dict: after an error it is dropped, so
+# entries need no removal on that path.
+
+
+def _infer(ctx: _Keyed, t: Te) -> Ty:
     match t:
         case TeVar(x):
-            a = find_ctxt(x, ctx)
+            a = ctx.get(x.key)
             if a is None:
                 raise TypeCheckError(
                     ErrorCode.VARIABLE_NOT_IN_CONTEXT,
@@ -77,12 +106,14 @@ def infer(ctx: Context, t: Te) -> Ty:
             return a
         case TeAbs(a, f):
             x, body = unbind(f)
-            b = infer([(x, a), *ctx], body)
+            ctx[x.key] = a
+            b = _infer(ctx, body)
+            del ctx[x.key]
             return TyArr(a, b)
         case TeApp(fn, u):
-            match infer(ctx, fn):
+            match _infer(ctx, fn):
                 case TyArr(a, b):
-                    check(ctx, u, a)
+                    _check(ctx, u, a)
                     return b
                 case _:
                     raise TypeCheckError(
@@ -91,10 +122,10 @@ def infer(ctx: Context, t: Te) -> Ty:
                     )
         case TeLam(f):
             x, body = unbind(f)
-            a = infer(ctx, body)
+            a = _infer(ctx, body)
             return TyAll(unbox(bind_var(x, lift_ty(a))))
         case TeSpe(fn, b):
-            match infer(ctx, fn):
+            match _infer(ctx, fn):
                 case TyAll(f):
                     return subst(f, b)
                 case _:
@@ -105,11 +136,10 @@ def infer(ctx: Context, t: Te) -> Ty:
     raise TypeError(f"not a term: {t!r}")
 
 
-def check(ctx: Context, t: Te, a: Ty) -> None:
-    """Check a term against a type, or raise `TypeCheckError`."""
+def _check(ctx: _Keyed, t: Te, a: Ty) -> None:
     match (t, a):
         case (TeVar(x), b):
-            found = find_ctxt(x, ctx)
+            found = ctx.get(x.key)
             if found is None:
                 raise TypeCheckError(
                     ErrorCode.VARIABLE_NOT_IN_CONTEXT,
@@ -127,15 +157,17 @@ def check(ctx: Context, t: Te, a: Ty) -> None:
                     "[check] type mismatch... (abs)",
                 )
             x, body = unbind(f)
-            check([(x, dom), *ctx], body, cod)
+            ctx[x.key] = dom
+            _check(ctx, body, cod)
+            del ctx[x.key]
         case (TeApp(fn, u), b):
-            arg_ty = infer(ctx, u)
-            check(ctx, fn, TyArr(arg_ty, b))
+            arg_ty = _infer(ctx, u)
+            _check(ctx, fn, TyArr(arg_ty, b))
         case (TeLam(f1), TyAll(f2)):
             _, body, body_ty = unbind2(f1, f2)
-            check(ctx, body, body_ty)
+            _check(ctx, body, body_ty)
         case (TeSpe(), expected):
-            if not eq_ty(infer(ctx, t), expected):
+            if not eq_ty(_infer(ctx, t), expected):
                 raise TypeCheckError(
                     ErrorCode.TYPE_MISMATCH_SPE,
                     "[check] type mismatch... (spe)",

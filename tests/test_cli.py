@@ -115,6 +115,28 @@ def test_cli_debug_reports_lookups(tmp_path):
     assert "phase1 lookups:" in r.stderr
 
 
+def test_cli_closed_pipe_ends_quietly(tmp_path):
+    # lines longer than the output buffer, and far more of them than a pipe
+    # holds: the CLI is mid-write when its reader goes away, with output
+    # still buffered that the flush at exit would try to write again
+    spine = "(f " * 4000 + "x" + ")" * 4000
+    path = tmp_path / "long.sf"
+    path.write_text(
+        f"def k = ΛX.λx:X.λf:(X ⇒ X).{spine};\n" + "print k;\n" * 50, encoding="utf-8"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bindcore", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == "ΛX.λx:X.".encode()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == bindcore.cli.EXIT_CLOSED_PIPE == 141
+    assert err == b""
+
+
 def test_cli_stops_at_first_error(tmp_path):
     path = tmp_path / "multi.sf"
     path.write_text(

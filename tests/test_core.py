@@ -29,6 +29,7 @@ from bindcore import (
     unbind2,
     unbox,
 )
+from bindcore.core import _index_of, _merge_vars
 from gen import leaf_free, random_box, var_pool
 
 mk = leaf_free
@@ -124,6 +125,64 @@ def test_apply_box_union_of_vars():
     assert box_vars(b2) == (x,)
 
 
+# ascending by key, as every box's variable tuple is
+_POOL = tuple(new_var(mk, "m") for _ in range(64))
+
+
+def _as_vars(indices) -> tuple:
+    return tuple(_POOL[i] for i in sorted(set(indices)))
+
+
+_index = st.integers(0, len(_POOL) - 1)
+_subset = st.lists(_index, min_size=1, max_size=len(_POOL))
+
+
+@st.composite
+def _var_pairs(draw):
+    # two sorted, non-empty variable tuples from one pool, in a drawn shape
+    shape = draw(st.sampled_from(["any", "disjoint", "equal", "one-variable", "few"]))
+    if shape == "few":
+        # a few variables against many, sharing one: the bisecting merge
+        few = draw(st.lists(_index, min_size=2, max_size=4, unique=True))
+        many = draw(st.lists(_index, min_size=40, max_size=len(_POOL)))
+        a, b = _as_vars(few), _as_vars(many + few[:1])
+    elif shape == "disjoint":
+        c = _as_vars(draw(st.lists(_index, min_size=2, unique=True)))
+        cut = draw(st.integers(1, len(c) - 1))
+        a, b = c[:cut], c[cut:]
+    else:
+        a = _as_vars(draw(_subset))
+        if shape == "equal":
+            b = a
+        elif shape == "one-variable":
+            b = _as_vars([draw(_index)])
+        else:
+            b = _as_vars(draw(_subset))  # most such pairs interleave
+    return draw(st.sampled_from([(a, b), (b, a)]))
+
+
+@settings(max_examples=400)
+@given(_var_pairs())
+def test_merge_vars_is_the_sorted_union(pair):
+    a, b = pair
+    merged = _merge_vars(a, b)
+    expected = tuple(sorted({v.key: v for v in a + b}.values(), key=lambda v: v.key))
+    assert merged == expected
+    assert all(any(v is u for u in a + b) for v in merged)  # the original objects
+    assert all(u.key < v.key for u, v in zip(merged, merged[1:]))
+
+
+@settings(max_examples=200)
+@given(_subset, st.integers(-1, len(_POOL)))
+def test_index_of_agrees_with_a_scan(indices, probe):
+    vs = _as_vars(indices)
+    key = _POOL[probe].key if 0 <= probe < len(_POOL) else (
+        _POOL[0].key - 1 if probe < 0 else _POOL[-1].key + 1
+    )
+    scan = next((i for i, v in enumerate(vs) if v.key == key), -1)
+    assert _index_of(vs, key) == scan
+
+
 # --- binders --------------------------------------------------------------------
 
 
@@ -189,6 +248,22 @@ def test_bind_same_var_twice_shadows():
     assert outer.occurs is False
     inner_binder = subst(outer, ("ignored",))
     assert subst(inner_binder, ("v",)) == ("v",)
+
+
+def test_inner_binder_of_a_free_variable_restores_its_slot():
+    # x is bound inside and free after it; sealing resolves the inner binder's
+    # occurrence first, so the outer occurrence must see x's own entry again
+    x, y = new_var(mk, "x"), new_var(mk, "y")
+    pair = lambda a: lambda b: ("pair", a, b)
+    inner = bind_var(x, apply_box(apply_box(box(pair), box_var(x)), box_var(y)))
+    body = apply_box(apply_box(box(pair), inner), box_var(x))
+    tag, binder, last = unbox(body)
+    assert last == ("var", x)
+    assert subst(binder, ("i",)) == ("pair", ("i",), ("var", y))
+    outer = unbox(bind_var(x, body))
+    tag, binder, last = subst(outer, ("o",))
+    assert last == ("o",)
+    assert subst(binder, ("i",)) == ("pair", ("i",), ("var", y))
 
 
 def test_unbind_names_and_identity():

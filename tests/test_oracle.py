@@ -3,7 +3,7 @@ import random
 import pytest
 
 from bindcore import new_var, unbox, bind_var
-from bindcore.oracle import convert, debruijn as db, named as N
+from bindcore.oracle import convert, debruijn as db, named as N, typer
 from bindcore.systemf import (
     TeVar,
     TyVar,
@@ -126,6 +126,24 @@ def test_oracle_nf_budget():
         N.oracle_nf(N.App(delta, delta), max_steps=100)
 
 
+def test_typer_rules():
+    X = N.TVar("X")
+    ident = N.Lam("X", N.Abs("y", X, N.Var("y")))
+    assert db.alpha_eq_ty(typer.infer({}, ident), N.TAll("Z", N.TArr(N.TVar("Z"), N.TVar("Z"))))
+    assert typer.infer({}, N.Spe(ident, A)) == N.TArr(A, A)
+    # a type binder that shadows a name free in the context is renamed apart
+    got = typer.infer({"x": X}, N.Lam("X", N.Var("x")))
+    assert isinstance(got, N.TAll) and got.var != "X" and got.body == X
+    for ctx, t in [
+        ({}, N.Var("x")),
+        ({"x": A}, N.App(N.Var("x"), N.Var("x"))),
+        ({"f": N.TArr(X, X), "a": A}, N.App(N.Var("f"), N.Var("a"))),
+        ({"x": A}, N.Spe(N.Var("x"), A)),
+    ]:
+        with pytest.raises(typer.OracleTypeError):
+            typer.infer(ctx, t)
+
+
 # --- conversion bridge -----------------------------------------------------------
 
 
@@ -170,8 +188,9 @@ def test_convert_preserves_alpha_equality():
 def test_oracle_never_imports_the_core():
     import bindcore.oracle.debruijn as dmod
     import bindcore.oracle.named as nmod
+    import bindcore.oracle.typer as tmod
 
-    for mod in (nmod, dmod):
+    for mod in (nmod, dmod, tmod):
         imported = set(getattr(mod, "__dict__", {}))
         assert "bind_var" not in imported
         assert "unbox" not in imported
@@ -180,3 +199,4 @@ def test_oracle_never_imports_the_core():
         assert "from ..core" not in src
         assert "from ..systemf" not in src
         assert "bindcore.core" not in src
+        assert "from .." not in src  # siblings only: nothing above the oracle

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from bindcore import bind_var, new_var, unbox
-from bindcore.oracle import convert, debruijn
+from bindcore import bind_var, box_vars, new_var, unbox
+from bindcore.oracle import convert, debruijn, typer
+from bindcore.oracle import named as N
 from bindcore.systemf import (
+    TeAbs,
     TeApp,
     TeLam,
     TeSpe,
@@ -25,7 +27,7 @@ from bindcore.systemf import (
     update_names,
 )
 from bindcore.typecheck import ErrorCode, TypeCheckError, check, find_ctxt, infer
-from gen import TermGen
+from gen import TermGen, free_split
 from test_systemf import worked_example
 
 
@@ -41,6 +43,54 @@ def test_find_ctxt_shadowing_nearest_first():
     A = TyVar(new_var(TyVar, "A"))
     B = TyVar(new_var(TyVar, "B"))
     assert find_ctxt(x, [(x, B), (x, A)]) is B
+
+
+def test_entry_points_use_the_nearest_binding():
+    x = new_var(TeVar, "x")
+    A = TyVar(new_var(TyVar, "A"))
+    B = TyVar(new_var(TyVar, "B"))
+    ctx = [(x, B), (x, A)]
+    assert infer(ctx, TeVar(x)) is B
+    check(ctx, TeVar(x), B)
+    with pytest.raises(TypeCheckError) as e:
+        check(ctx, TeVar(x), A)
+    assert e.value.code is ErrorCode.TYPE_MISMATCH_VAR
+
+
+def test_entry_points_keep_the_callers_list_and_their_error_codes():
+    x, y = new_var(TeVar, "x"), new_var(TeVar, "y")
+    A = TyVar(new_var(TyVar, "A"))
+    B = TyVar(new_var(TyVar, "B"))
+    ident = _id_of(B.var)
+    # an abstraction whose body fails after its binder was entered
+    abs_y = lambda body: TeAbs(B, unbox(bind_var(y, lift_te(body))))
+    z = TeVar(new_var(TeVar, "z"))
+    cases = [  # (term, type to check against or None to infer, code)
+        (TeVar(y), None, ErrorCode.VARIABLE_NOT_IN_CONTEXT),
+        (TeVar(y), B, ErrorCode.VARIABLE_NOT_IN_CONTEXT),
+        (abs_y(z), None, ErrorCode.VARIABLE_NOT_IN_CONTEXT),
+        (abs_y(TeApp(TeVar(x), TeVar(y))), None, ErrorCode.EXPECTED_ARROW),
+        (abs_y(TeSpe(TeVar(y), A)), None, ErrorCode.EXPECTED_QUANTIFIER),
+        (TeVar(x), A, ErrorCode.TYPE_MISMATCH_VAR),
+        (abs_y(TeVar(x)), TyArr(A, B), ErrorCode.TYPE_MISMATCH_ABS),
+        (abs_y(TeVar(y)), TyArr(B, A), ErrorCode.TYPE_MISMATCH_VAR),
+        (TeSpe(TeVar(x), A), A, ErrorCode.EXPECTED_QUANTIFIER),
+        (ident, B, ErrorCode.NOT_TYPABLE),
+        (TeApp(_id_of(A.var), TeVar(x)), B, ErrorCode.TYPE_MISMATCH_ABS),
+        (TeApp(ident, TeVar(x)), A, ErrorCode.TYPE_MISMATCH_VAR),
+    ]
+    for t, ty, code in cases:
+        ctx = [(x, B), (x, A)]  # shadowed: B is the nearest
+        before = list(ctx)
+        with pytest.raises(TypeCheckError) as e:
+            infer(ctx, t) if ty is None else check(ctx, t, ty)
+        assert e.value.code is code, t
+        assert ctx == before
+    ctx = [(x, B), (x, A)]
+    before = list(ctx)
+    assert eq_ty(infer(ctx, abs_y(TeVar(x))), TyArr(B, B))
+    check(ctx, abs_y(TeVar(x)), TyArr(B, B))
+    assert ctx == before
 
 
 def test_infer_axiom():
@@ -193,3 +243,87 @@ def test_normalization_preserves_typing_open_terms():
         a = infer(ctx, t)
         assert eq_ty(a, infer(ctx, nf(t)))
         assert eq_ty(a, infer(ctx, hnf(t)))
+
+
+# --- differential against the oracle's checker ----------------------------------
+
+
+def _mutants(t: N.Te):
+    """Every single mutation of a named term that changes its typing, by kind.
+
+    A wrong annotation doubles an abstraction's domain `A` into `(A => A)`;
+    a wrong specialisation does the same to the type a variable is
+    specialised at (a redex's unused `Lam X` ignores the type it is given,
+    so those sites are left alone); a dropped binder replaces an
+    abstraction by its body.
+    """
+    match t:
+        case N.Abs(x, a, b):
+            yield "annotation", N.Abs(x, N.TArr(a, a), b)
+            yield "binder", b
+            for kind, m in _mutants(b):
+                yield kind, N.Abs(x, a, m)
+        case N.App(f, u):
+            for kind, m in _mutants(f):
+                yield kind, N.App(m, u)
+            for kind, m in _mutants(u):
+                yield kind, N.App(f, m)
+        case N.Lam(x, b):
+            for kind, m in _mutants(b):
+                yield kind, N.Lam(x, m)
+        case N.Spe(f, a):
+            if isinstance(f, N.Var):
+                yield "specialisation", N.Spe(f, N.TArr(a, a))
+            for kind, m in _mutants(f):
+                yield kind, N.Spe(m, a)
+
+
+def _named_ctx(ctx) -> dict:
+    # the nearest binding of a name wins: it is entered last
+    return {convert.qualified_name(x): convert.ty_to_named(a) for x, a in reversed(ctx)}
+
+
+def _both_accept(ctx, t_named, ty, free_te, free_ty) -> tuple[bool, bool]:
+    """Whether the checker and the oracle accept a named term at type `ty`."""
+    t = convert.named_to_te(t_named, free_te=free_te, free_ty=free_ty)
+    try:
+        check(ctx, t, ty)
+        core = True
+    except TypeCheckError:
+        core = False
+    try:
+        got = typer.infer(_named_ctx(ctx), t_named)
+        oracle = debruijn.alpha_eq_ty(got, convert.ty_to_named(ty))
+    except typer.OracleTypeError:
+        oracle = False
+    return core, oracle
+
+
+def test_checker_agrees_with_the_oracle():
+    # accept and reject must agree; error codes are the checker's own
+    rng = random.Random(3141)
+    g = TermGen(rng, max_depth=6, max_size=40)
+    mutated = {"annotation": 0, "specialisation": 0, "binder": 0}
+    for _ in range(100):
+        t, ctx = g.sample()
+        a = infer(ctx, t)
+        t_named = convert.te_to_named(t)
+        got = typer.infer(_named_ctx(ctx), t_named)
+        assert debruijn.alpha_eq_ty(got, convert.ty_to_named(a))
+        # a mutant converted back keeps the sample's free variables
+        free_te = {convert.qualified_name(x): x for x, _ in ctx}
+        free_ty = {
+            convert.qualified_name(v): v
+            for b in (a, *(b for _, b in ctx))
+            for v in box_vars(lift_ty(b))
+        }
+        free_ty.update((convert.qualified_name(v), v) for v in free_split(t)[1])
+        assert _both_accept(ctx, t_named, a, free_te, free_ty) == (True, True)
+        by_kind: dict[str, list] = {}
+        for kind, m in _mutants(t_named):
+            by_kind.setdefault(kind, []).append(m)
+        for kind, ms in sorted(by_kind.items()):
+            m = rng.choice(ms)
+            assert _both_accept(ctx, m, a, free_te, free_ty) == (False, False), kind
+            mutated[kind] += 1
+    assert all(n >= 10 for n in mutated.values()), mutated
