@@ -8,7 +8,8 @@ names binders outermost first, so the output never shows two variables
 under one name and is identical across runs.
 
 Exit codes: 0 on success, 1 on a file that cannot be read or decoded as
-UTF-8 or on a parse or type error, 2 when the step budget runs out, 3 when
+UTF-8 or on a parse or type error, 2 when the step budget runs out or on a
+usage error such as a negative `--steps` (argparse's code), 3 when
 a statement or a file is too deep for the stack (`too-deep`) or too large
 for memory (`out-of-memory`), 141 when the reader of stdout goes away
 before the output is written, as in `bindcore FILE | head -1` (128 +
@@ -130,6 +131,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="enable internal checks and report slot-lookup counts",
     )
     ns = ap.parse_args(argv)
+    if ns.steps < 0:
+        ap.error(f"argument --steps: must be non-negative, got {ns.steps}")
     if ns.debug:
         enable_debug(True)
     try:

@@ -10,9 +10,10 @@ or key is ever consulted during substitution, so capture cannot arise and
 substitution stays cheap no matter how often the binder is applied.
 
 Binder names are chosen in phase one too, outermost first: a binder keeps
-its variable's prefix and takes the smallest suffix that no variable free in
-its body shows under its final name.  So a freshly sealed value never shows
-two variables under one name; substitution does not rename.
+its variable's name without the trailing digits and takes the smallest
+suffix that no variable free in its body shows under its final name.  So a
+freshly sealed value never shows two variables under one name;
+substitution does not rename.
 
 Debug instrumentation (slot-lookup counter, environment owner tags) is
 enabled by setting the BINDCORE_DEBUG environment variable to any non-empty
@@ -27,7 +28,7 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Callable, Collection, Generic, Optional, TypeVar, Union
+from typing import Any, Callable, Collection, Generic, TypeVar, Union
 
 T = TypeVar("T")
 A = TypeVar("A")
@@ -142,25 +143,22 @@ class Var(Generic[T]):
     """A free variable: a globally unique key plus a display name.
 
     `name` is the name the variable was given and renders as; a binder of
-    the variable keeps only its `prefix` and picks the smallest free suffix.
-    `mkfree` injects the variable into its syntax type; `self_box` is the
-    variable's boxed form, computed once at creation.
+    the variable keeps the name without its trailing digits and picks the
+    smallest free suffix (see `bind_var`).  `mkfree` injects the variable
+    into its syntax type; `self_box` is the variable's boxed form, computed
+    once at creation.
     """
 
-    __slots__ = ("key", "name", "prefix", "suffix", "mkfree", "self_box")
+    __slots__ = ("key", "name", "mkfree", "self_box")
 
     key: int
     name: str
-    prefix: str
-    suffix: Optional[int]
     mkfree: Callable[["Var[T]"], T]
     self_box: "Open[T]"
 
-    def __init__(self, key, name, prefix, suffix, mkfree):
+    def __init__(self, key, name, mkfree):
         self.key = key
         self.name = name
-        self.prefix = prefix
-        self.suffix = suffix
         self.mkfree = mkfree
 
     def __repr__(self) -> str:
@@ -210,19 +208,11 @@ class Open(Generic[T]):
 BoxVal = Union[Closed[T], Open[T]]
 
 
-def _split_name(name: str) -> tuple[str, Optional[int]]:
-    # longest run of trailing decimal digits becomes the suffix
-    stem = name.rstrip("0123456789")
-    digits = name[len(stem):]
-    return stem, (int(digits) if digits else None)
-
-
 def new_var(mkfree: Callable[[Var[T]], T], name: str) -> Var[T]:
     """Create a fresh variable whose occurrences render as `name`."""
     if not name:
         raise ValueError("variable name must be non-empty")
-    prefix, suffix = _split_name(name)
-    v: Var[T] = Var(next(_keys), name, prefix, suffix, mkfree)
+    v: Var[T] = Var(next(_keys), name, mkfree)
     key = v.key
 
     def phase1(vp: dict, _key=key) -> Callable[[list], T]:
@@ -377,11 +367,10 @@ def _index_of(vs: tuple[Var, ...], key: int) -> int:
     return i if i < len(vs) and vs[i].key == key else -1
 
 
-def _binder_name(x: Var, taken: Collection[str]) -> str:
+def _binder_name(prefix: str, taken: Collection[str]) -> str:
     # keep the prefix, pick the smallest suffix (none < 0 < 1 < ...) whose
     # rendering is not in `taken`, the names shown by the variables left
     # free in the body
-    prefix = x.prefix
     if prefix and prefix not in taken:
         return prefix
     i = 0
@@ -413,9 +402,10 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
     so that binder is sealed by `unbox` at once.
     """
     mkfree = x.mkfree
+    prefix = x.name.rstrip("0123456789")
     if isinstance(b, Closed):
         v = b.value
-        return Closed(Binder(_binder_name(x, ()), False, 0, mkfree, lambda _a: v))
+        return Closed(Binder(_binder_name(prefix, ()), False, 0, mkfree, lambda _a: v))
     vs = b.vars
     n = b.bound
     cl = b.closure
@@ -426,7 +416,7 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
         rank = len(vs)
 
         def phase1_skip(vp):
-            name = _binder_name(x, {vp[v.key][1] for v in vs})
+            name = _binder_name(prefix, {vp[v.key][1] for v in vs})
             body2 = cl(vp)
 
             def phase2(env):
@@ -442,7 +432,7 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
     slot = n
 
     def phase1(vp):
-        name = _binder_name(x, {vp[v.key][1] for v in rest})
+        name = _binder_name(prefix, {vp[v.key][1] for v in rest})
         # the one table of this seal: enter x for the body, then restore the
         # entry of an outer x that shares the key, if any
         outer = vp.get(key)

@@ -51,7 +51,6 @@ __all__ = [
     "_TeSpe",
     "lift_ty",
     "lift_te",
-    "hnf",
     "nf",
     "StepBudgetExceeded",
     "print_ty",
@@ -185,28 +184,6 @@ class StepBudgetExceeded(Exception):
     def __init__(self, steps: int) -> None:
         super().__init__(f"beta-step budget of {steps} exhausted")
         self.steps = steps
-
-
-def hnf(t: Te) -> Te:
-    """Head normal form, right-to-left call-by-value, never under binders.
-
-    May diverge on ill-typed input; type-check first.
-    """
-    match t:
-        case TeApp(fn, arg):
-            v = hnf(arg)
-            match hnf(fn):
-                case TeAbs(_, f):
-                    return hnf(subst(f, v))
-                case h:
-                    return TeApp(h, v)
-        case TeSpe(fn, a):
-            match hnf(fn):
-                case TeLam(f):
-                    return hnf(subst(f, a))
-                case h:
-                    return TeSpe(h, a)
-    return t
 
 
 @dataclass(eq=False, slots=True)

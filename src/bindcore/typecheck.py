@@ -18,9 +18,8 @@ context.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional
 
-from .core import Var, bind_var, eq_vars, subst, unbind, unbind2, unbox
+from .core import Var, bind_var, subst, unbind, unbind2, unbox
 from .systemf import (
     Te,
     TeAbs,
@@ -39,7 +38,6 @@ __all__ = [
     "Context",
     "ErrorCode",
     "TypeCheckError",
-    "find_ctxt",
     "infer",
     "check",
 ]
@@ -65,14 +63,6 @@ class TypeCheckError(Exception):
         super().__init__(message)
         self.code = code
         self.message = message
-
-
-def find_ctxt(x: Var, ctx: Context) -> Optional[Ty]:
-    """The nearest type bound to `x`, or None."""
-    for y, a in ctx:
-        if eq_vars(x, y):
-            return a
-    return None
 
 
 def _keyed(ctx: Context) -> _Keyed:

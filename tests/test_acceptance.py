@@ -15,6 +15,7 @@ from bindcore import (
     box,
     box_apply,
     box_apply2,
+    box_var,
     box_vars,
     debug_enabled,
     enable_debug,
@@ -179,7 +180,7 @@ def test_criterion_5_free_variable_algebra(capsys):
                 bb = bind_var(x, b)
                 assert {v.key for v in box_vars(bb)} == (fk | ak) - {x.key}
                 assert not occur(x, bb)
-            assert {v.key for v in box_vars(x.self_box)} == {x.key}
+            assert {v.key for v in box_vars(box_var(x))} == {x.key}
             done += 1
 
 

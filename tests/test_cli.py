@@ -107,6 +107,23 @@ def test_cli_budget_exit_2(tmp_path):
     assert "budget-exhausted" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "script",
+    ["eval ((ΛX.λx:X.x) [∀Y.Y]);\n", "print ΛX.λx:X.x;\n"],
+    ids=["redex", "no-redex"],
+)
+def test_cli_negative_steps_is_a_usage_error(tmp_path, script):
+    # refused before any file is read, with or without a beta-redex
+    path = tmp_path / "s.sf"
+    path.write_text(script, encoding="utf-8")
+    r = run_cli(["--steps", "-1", str(path)])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("usage: bindcore")
+    assert "argument --steps: must be non-negative, got -1" in r.stderr
+    assert "budget-exhausted" not in r.stderr
+
+
 def test_cli_debug_reports_lookups(tmp_path):
     path = tmp_path / "appl.sf"
     path.write_text(GOLDEN, encoding="utf-8")

@@ -1,8 +1,6 @@
-import random
-
 from bindcore import box, box_var, box_vars, is_closed, new_var, unbox
-from bindcore.combinators import box_apply, box_apply2, box_list, box_opt
-from gen import leaf_free, random_box, var_pool
+from bindcore.combinators import box_apply, box_apply2
+from gen import leaf_free
 
 mk = leaf_free
 
@@ -39,40 +37,3 @@ def test_box_apply2_vars_union():
     assert box_vars(left) == (y,)
     right = box_apply2(lambda a, c: (a, c), box_var(x), box(0))
     assert box_vars(right) == (x,)
-
-
-def test_box_opt():
-    assert unbox(box_opt(None)) is None
-    assert is_closed(box_opt(None))
-    x = new_var(mk, "x")
-    b = box_opt(box_var(x))
-    assert unbox(b) == ("var", x)
-    assert box_vars(b) == (x,)
-
-
-def test_box_list_empty():
-    b = box_list([])
-    assert is_closed(b)
-    assert unbox(b) == []
-
-
-def test_box_list_order():
-    assert unbox(box_list([box(1), box(2)])) == [1, 2]
-    xs = [box(i) for i in range(10)]
-    assert unbox(box_list(xs)) == list(range(10))
-
-
-def test_box_list_vars_union_random():
-    rng = random.Random(7)
-    pool = var_pool(rng, 5)
-    for _ in range(100):
-        items, expected, keys = [], [], set()
-        for _ in range(rng.randrange(6)):
-            b, e, k = random_box(rng, pool, 2)
-            items.append(b)
-            expected.append(e)
-            keys |= k
-        lb = box_list(items)
-        assert unbox(lb) == expected
-        assert {v.key for v in box_vars(lb)} == keys
-        assert len(unbox(lb)) == len(items)

@@ -38,23 +38,30 @@ mk = leaf_free
 # --- variables ----------------------------------------------------------------
 
 
+def _lone_binder_name(v) -> str:
+    # the name a binder of v takes when nothing is free in its body
+    return unbox(bind_var(v, box(0))).name
+
+
 def test_new_var_basic():
     x = new_var(mk, "X")
-    assert (x.prefix, x.suffix) == ("X", None)
     assert name_of(x) == "X"
+    assert _lone_binder_name(x) == "X"
 
 
 def test_name_suffix_split():
+    # a binder keeps the name without its trailing digits
     v = new_var(mk, "x17")
-    assert (v.prefix, v.suffix) == ("x", 17)
     assert name_of(v) == "x17"
-    # "x0" is distinct from bare "x"
+    assert _lone_binder_name(v) == "x"
+    # "x0" is distinct from bare "x" as a variable, not as a binder
     v0 = new_var(mk, "x0")
-    assert (v0.prefix, v0.suffix) == ("x", 0)
     assert name_of(v0) == "x0"
-    # digits only: empty prefix
+    assert _lone_binder_name(v0) == "x"
+    # digits only: an empty prefix takes the suffix 0
     d = new_var(mk, "42")
-    assert (d.prefix, d.suffix) == ("", 42)
+    assert name_of(d) == "42"
+    assert _lone_binder_name(d) == "0"
 
 
 def test_new_var_rejects_empty_name():

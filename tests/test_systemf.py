@@ -37,7 +37,6 @@ from bindcore.systemf import (
     _TyVar,
     eq_te,
     eq_ty,
-    hnf,
     lift_te,
     lift_ty,
     nf,
@@ -138,32 +137,6 @@ def _id_abs(a_var):
     return unbox(_TeAbs(_TyVar(a_var), bind_var(x, _TeVar(x))))
 
 
-def test_hnf_single_beta():
-    A = new_var(TyVar, "A")
-    y = new_var(TeVar, "y")
-    r = hnf(TeApp(_id_abs(A), TeVar(y)))
-    assert isinstance(r, TeVar) and eq_vars(r.var, y)
-
-
-def test_hnf_type_beta():
-    # ((Lam X. fun x:X.x) [B])  ->  fun x:B.x
-    B = new_var(TyVar, "B")
-    X = new_var(TyVar, "X")
-    x = new_var(TeVar, "x")
-    poly_id = unbox(_TeLam(bind_var(X, _TeAbs(_TyVar(X), bind_var(x, _TeVar(x))))))
-    r = hnf(TeSpe(poly_id, TyVar(B)))
-    assert eq_te(r, _id_abs(B))
-
-
-def test_hnf_stops_at_binders():
-    A = new_var(TyVar, "A")
-    x = new_var(TeVar, "x")
-    inner_redex = _TeApp(box(_id_abs(A)), _TeVar(x))
-    t = unbox(_TeAbs(_TyVar(A), bind_var(x, inner_redex)))
-    r = hnf(t)
-    assert r is t  # no reduction under the binder
-
-
 def test_nf_single_beta():
     A = new_var(TyVar, "A")
     y = new_var(TeVar, "y")
@@ -233,15 +206,12 @@ def test_nf_shares_work_on_repeated_arguments():
         assert eq_te(nf(t, max_steps=12 * d), want)  # 7d - 1 or 11d - 2 steps
 
 
-def test_hnf_is_prefix_of_nf():
+def test_nf_result_shows_no_visual_capture():
     rng = random.Random(777)
     g = TermGen(rng, max_depth=6, max_size=40)
     for _ in range(60):
         t, _ = g.sample()
-        a = convert.te_to_named(nf(hnf(t)))
-        r = nf(t)
-        assert debruijn.alpha_eq(a, convert.te_to_named(r))
-        assert_no_visual_capture(r)  # the seal that ends `nf` names its binders
+        assert_no_visual_capture(nf(t))  # the seal that ends `nf` names its binders
 
 
 # --- printing ---------------------------------------------------------------------

@@ -26,23 +26,9 @@ from bindcore.systemf import (
     print_ty,
     update_names,
 )
-from bindcore.typecheck import ErrorCode, TypeCheckError, check, find_ctxt, infer
+from bindcore.typecheck import ErrorCode, TypeCheckError, check, infer
 from gen import TermGen, free_split
 from test_systemf import worked_example
-
-
-def test_find_ctxt_basic():
-    x = new_var(TeVar, "x")
-    A = TyVar(new_var(TyVar, "A"))
-    assert find_ctxt(x, [(x, A)]) is A
-    assert find_ctxt(x, []) is None
-
-
-def test_find_ctxt_shadowing_nearest_first():
-    x = new_var(TeVar, "x")
-    A = TyVar(new_var(TyVar, "A"))
-    B = TyVar(new_var(TyVar, "B"))
-    assert find_ctxt(x, [(x, B), (x, A)]) is B
 
 
 def test_entry_points_use_the_nearest_binding():
@@ -234,15 +220,12 @@ def test_fresh_variables_exceed_context_keys():
 
 
 def test_normalization_preserves_typing_open_terms():
-    from bindcore.systemf import hnf
-
     rng = random.Random(6021)
     g = TermGen(rng, max_depth=6, max_size=40)
     for _ in range(40):
         t, ctx = g.sample()
         a = infer(ctx, t)
         assert eq_ty(a, infer(ctx, nf(t)))
-        assert eq_ty(a, infer(ctx, hnf(t)))
 
 
 # --- differential against the oracle's checker ----------------------------------
