@@ -62,7 +62,10 @@ def call_with_deep_stack(fn: Callable[..., Any], *args: Any) -> Any:
         finally:
             threading.stack_size(old_size)
     thread.join()
-    ok, value = outcome[0]
-    if not ok:
+    ok, value = outcome.pop()
+    if ok:
+        return value
+    try:
         raise value
-    return value
+    finally:
+        del value  # the traceback holds this frame: break the cycle

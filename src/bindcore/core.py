@@ -139,27 +139,21 @@ class _DebugEnv(list):
 _keys = itertools.count()  # atomic under CPython; sole shared mutable state
 
 
+@dataclass(eq=False, slots=True)
 class Var(Generic[T]):
     """A free variable: a globally unique key plus a display name.
 
     `name` is the name the variable was given and renders as; a binder of
     the variable keeps the name without its trailing digits and picks the
     smallest free suffix (see `bind_var`).  `mkfree` injects the variable
-    into its syntax type; `self_box` is the variable's boxed form, computed
-    once at creation.
+    into its syntax type; `phase1` is the phase one of its boxed form,
+    shared by every `box_var` of it.
     """
-
-    __slots__ = ("key", "name", "mkfree", "self_box")
 
     key: int
     name: str
     mkfree: Callable[["Var[T]"], T]
-    self_box: "Open[T]"
-
-    def __init__(self, key, name, mkfree):
-        self.key = key
-        self.name = name
-        self.mkfree = mkfree
+    phase1: Callable[[dict], Callable[[list], T]]
 
     def __repr__(self) -> str:
         return f"<var {name_of(self)}#{self.key}>"
@@ -212,8 +206,7 @@ def new_var(mkfree: Callable[[Var[T]], T], name: str) -> Var[T]:
     """Create a fresh variable whose occurrences render as `name`."""
     if not name:
         raise ValueError("variable name must be non-empty")
-    v: Var[T] = Var(next(_keys), name, mkfree)
-    key = v.key
+    key = next(_keys)
 
     def phase1(vp: dict, _key=key) -> Callable[[list], T]:
         if _debug:
@@ -223,8 +216,7 @@ def new_var(mkfree: Callable[[Var[T]], T], name: str) -> Var[T]:
         # a default, not a closure cell: a sealed value keeps one per occurrence
         return lambda env, slot=vp[_key][0]: env[slot]
 
-    v.self_box = Open((v,), 0, phase1)
-    return v
+    return Var(key, name, mkfree, phase1)
 
 
 def name_of(v: Var) -> str:
@@ -241,8 +233,8 @@ def box(value: T) -> BoxVal[T]:
 
 
 def box_var(v: Var[T]) -> BoxVal[T]:
-    """The boxed form of a variable (memoized on the variable)."""
-    return v.self_box
+    """The boxed form of a variable, a new box on each call."""
+    return Open((v,), 0, v.phase1)
 
 
 _key = attrgetter("key")

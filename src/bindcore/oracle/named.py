@@ -9,7 +9,7 @@ tests.  Term names and type names live in separate namespaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 __all__ = [
     "Ty",

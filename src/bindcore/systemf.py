@@ -9,7 +9,6 @@ finished syntax used for pattern matching.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -194,60 +193,64 @@ class _Val:
     reached: int = 0  # the second reach replaces `v` by its normal form
 
 
+def _beta(budget: list) -> None:
+    # `budget` is [beta steps taken, their bound or None]
+    budget[0] += 1
+    if budget[1] is not None and budget[0] > budget[1]:
+        raise StepBudgetExceeded(budget[1])
+
+
+def _ev(t: Te, budget: list) -> Te:
+    tt = type(t)
+    if tt is TeApp:
+        u = _ev(t.arg, budget)
+        fn = _ev(t.fn, budget)
+        if type(fn) is TeAbs:
+            _beta(budget)
+            return _ev(subst(fn.binder, _Val(u)), budget)
+        return TeApp(fn, u)
+    if tt is TeSpe:
+        fn = _ev(t.fn, budget)
+        if type(fn) is TeLam:
+            _beta(budget)
+            return _ev(subst(fn.binder, t.ty), budget)
+        return TeSpe(fn, t.ty)
+    if tt is _Val:
+        t.reached += 1
+        if t.reached == 2:
+            t.v = unbox(_rb(t.v, budget))
+        return t.v
+    if tt is TeVar or tt is TeAbs or tt is TeLam:
+        return t
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _rb(v: Te, budget: list) -> BoxVal[Te]:
+    tt = type(v)
+    if tt is TeAbs or tt is TeLam:
+        body = box_binder(lambda b: _rb(_ev(b, budget), budget), v.binder)
+        return _TeAbs(lift_ty(v.ty), body) if tt is TeAbs else _TeLam(body)
+    if tt is TeApp:
+        return _TeApp(_rb(v.fn, budget), _rb(v.arg, budget))
+    if tt is TeSpe:
+        return _TeSpe(_rb(v.fn, budget), lift_ty(v.ty))
+    return box_var(v.var)
+
+
 def nf(t: Te, max_steps: Optional[int] = None) -> Te:
     """Full beta-normal form, reducing under binders.
 
-    Normalization by evaluation.  `ev` evaluates right to left, argument
-    first; it leaves abstractions as they stand and substitutes each
-    argument as a `_Val` cell.  `rb` reads a value back into a box and
-    evaluates each body it opens.  A cell's value is normalized the second
-    time the cell is reached, so a function used many times has its body
-    evaluated at most twice.  Terminates on well-typed terms.  `max_steps`
-    bounds the beta steps, all counted, raising `StepBudgetExceeded`.
+    Normalization by evaluation.  Evaluation (`_ev`) goes right to left,
+    argument first; it leaves abstractions as they stand and substitutes
+    each argument as a `_Val` cell.  Readback (`_rb`) turns a value into a
+    box and evaluates each body it opens.  A cell's value is normalized the
+    second time the cell is reached, so a function used many times has its
+    body evaluated at most twice.  Terminates on well-typed terms.
+    `max_steps` bounds the beta steps, all counted, raising
+    `StepBudgetExceeded`.
     """
-    steps = itertools.count(1)
-
-    def beta() -> None:
-        if max_steps is not None and next(steps) > max_steps:
-            raise StepBudgetExceeded(max_steps)
-
-    def ev(t: Te) -> Te:
-        tt = type(t)
-        if tt is TeApp:
-            u = ev(t.arg)
-            fn = ev(t.fn)
-            if type(fn) is TeAbs:
-                beta()
-                return ev(subst(fn.binder, _Val(u)))
-            return TeApp(fn, u)
-        if tt is TeSpe:
-            fn = ev(t.fn)
-            if type(fn) is TeLam:
-                beta()
-                return ev(subst(fn.binder, t.ty))
-            return TeSpe(fn, t.ty)
-        if tt is _Val:
-            t.reached += 1
-            if t.reached == 2:
-                t.v = unbox(rb(t.v))
-            return t.v
-        if tt is TeVar or tt is TeAbs or tt is TeLam:
-            return t
-        raise TypeError(f"not a term: {t!r}")
-
-    def rb(v: Te) -> BoxVal[Te]:
-        tt = type(v)
-        if tt is TeAbs:
-            return _TeAbs(lift_ty(v.ty), box_binder(lambda b: rb(ev(b)), v.binder))
-        if tt is TeLam:
-            return _TeLam(box_binder(lambda b: rb(ev(b)), v.binder))
-        if tt is TeApp:
-            return _TeApp(rb(v.fn), rb(v.arg))
-        if tt is TeSpe:
-            return _TeSpe(rb(v.fn), lift_ty(v.ty))
-        return box_var(v.var)
-
-    return unbox(rb(ev(t)))
+    budget = [0, max_steps]
+    return unbox(_rb(_ev(t, budget), budget))
 
 
 # --- printing --------------------------------------------------------------
@@ -262,45 +265,44 @@ _UNI = {"arrow": " ⇒ ", "forall": "∀", "lam": "λ", "tlam": "Λ"}
 _ASC = {"arrow": " => ", "forall": "all ", "lam": "fun ", "tlam": "Lam "}
 
 
+def _print(root: Union[Ty, Te], ascii: bool) -> str:
+    # one walk over types and terms: `todo` holds the nodes and the text
+    # still to emit, the next one last; text goes to `out`, joined once
+    sym = _ASC if ascii else _UNI
+    out: list[str] = []
+    todo: list = [root]
+    while todo:
+        n = todo.pop()
+        tn = type(n)
+        if tn is str:
+            out.append(n)
+        elif tn is TeVar or tn is TyVar:
+            out.append(name_of(n.var))
+        elif tn is TeApp:
+            todo += (")", n.arg, " ", n.fn, "(")
+        elif tn is TyArr:
+            todo += (")", n.cod, sym["arrow"], n.dom, "(")
+        elif tn is TeSpe:
+            todo += ("])", n.ty, " [", n.fn, "(")
+        elif tn is TeAbs:
+            x, body = unbind(n.binder)
+            todo += (body, ".", n.ty, ":", name_of(x), sym["lam"])
+        elif tn is TyAll or tn is TeLam:
+            x, body = unbind(n.binder)
+            todo += (body, ".", name_of(x), sym["forall" if tn is TyAll else "tlam"])
+        else:
+            raise TypeError(f"not a type or term: {n!r}")
+    return "".join(out)
+
+
 def print_ty(a: Ty, ascii: bool = False) -> str:
     """Render a type on the canonical grammar (unicode unless `ascii`)."""
-    sym = _ASC if ascii else _UNI
-
-    def go(a: Ty) -> str:
-        match a:
-            case TyVar(x):
-                return name_of(x)
-            case TyArr(dom, cod):
-                return f"({go(dom)}{sym['arrow']}{go(cod)})"
-            case TyAll(f):
-                x, body = unbind(f)
-                return f"{sym['forall']}{name_of(x)}.{go(body)}"
-        raise TypeError(f"not a type: {a!r}")
-
-    return go(a)
+    return _print(a, ascii)
 
 
 def print_te(t: Te, ascii: bool = False) -> str:
     """Render a term on the canonical grammar (unicode unless `ascii`)."""
-    sym = _ASC if ascii else _UNI
-
-    def go(t: Te) -> str:
-        match t:
-            case TeVar(x):
-                return name_of(x)
-            case TeAbs(a, f):
-                x, body = unbind(f)
-                return f"{sym['lam']}{name_of(x)}:{print_ty(a, ascii)}.{go(body)}"
-            case TeApp(fn, arg):
-                return f"({go(fn)} {go(arg)})"
-            case TeLam(f):
-                x, body = unbind(f)
-                return f"{sym['tlam']}{name_of(x)}.{go(body)}"
-            case TeSpe(fn, a):
-                return f"({go(fn)} [{print_ty(a, ascii)}])"
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(t)
+    return _print(t, ascii)
 
 
 # --- alpha-equality --------------------------------------------------------

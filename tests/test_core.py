@@ -107,13 +107,14 @@ def test_box_var_unboxes_to_mkfree():
     assert unbox(box_var(x)) == ("var", x)
 
 
-def test_box_var_memoized():
+def test_box_var_is_an_open_box_of_the_variable():
+    # built anew on each call: a variable keeps no box pointing back at it
     x = new_var(mk, "x")
-    assert box_var(x) is box_var(x)
     b = box_var(x)
     assert isinstance(b, Open)
     assert b.vars == (x,)
     assert b.bound == 0
+    assert unbox(b) == ("var", x)
 
 
 def test_apply_box_closed_closed():

@@ -2,6 +2,7 @@ import itertools
 import random
 
 from bindcore import (
+    Open,
     bind_var,
     box,
     box_var,
@@ -92,13 +93,18 @@ def test_smart_ctor_arrow():
 
 
 def test_te_var_is_box_var():
-    x = new_var(TeVar, "x")
-    assert _TeVar(x) is box_var(x)
+    assert _TeVar is box_var
+    assert _TyVar is box_var
 
 
 def test_lift_ty_base_case():
     x = new_var(TyVar, "X")
-    assert lift_ty(TyVar(x)) is box_var(x)
+    b = lift_ty(TyVar(x))
+    assert isinstance(b, Open)
+    assert b.vars == (x,)
+    assert b.bound == 0
+    a = unbox(b)
+    assert isinstance(a, TyVar) and a.var is x
 
 
 def test_worked_example_unboxes():
@@ -235,6 +241,22 @@ def test_print_spe_brackets():
     x = new_var(TeVar, "x")
     poly_id = unbox(_TeLam(bind_var(X, _TeAbs(_TyVar(X), bind_var(x, _TeVar(x))))))
     assert print_te(TeSpe(poly_id, TyVar(B))) == "(ΛX.λx:X.x [B])"
+
+
+def test_print_deep_on_an_ordinary_thread():
+    # the printer keeps its own stack: no deep-stack thread is needed
+    n = 100_000
+    f, z = new_var(TeVar, "f"), new_var(TeVar, "z")
+    t = TeVar(z)
+    for _ in range(n):
+        t = TeApp(TeVar(f), t)
+    assert print_te(t) == "(f " * n + "z" + ")" * n
+    X = new_var(TyVar, "X")
+    a = TyVar(X)
+    for _ in range(n):
+        a = TyArr(TyVar(X), a)
+    assert print_ty(a) == "(X ⇒ " * n + "X" + ")" * n
+    assert print_ty(a, ascii=True) == "(X => " * n + "X" + ")" * n
 
 
 # --- alpha equality ---------------------------------------------------------------
