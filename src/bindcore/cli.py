@@ -17,11 +17,19 @@ SIGPIPE, the status a shell reports for a filter ended by a closed pipe;
 nothing is printed).  Errors go to stderr as `file:line:col: code:
 message`, or `file: code: message` for a file that cannot be read or
 decoded (`io-error`) or parsed within those limits.
+
+`main` runs the files with the cyclic garbage collector off and turns it
+back on afterwards only if it was on.  Values hold no reference cycles
+(`tests/test_cycles.py` keeps them so), so reference counting frees them,
+and the collector would only re-traverse the live graph of sealed closures.
+The setting is process-wide, so `run_script` and the library leave it to
+their callers.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import IO, Optional
@@ -135,6 +143,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         ap.error(f"argument --steps: must be non-negative, got {ns.steps}")
     if ns.debug:
         enable_debug(True)
+    # the work runs with the cyclic collector off (see the module docstring)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = call_with_deep_stack(_run_files, ns.files, ns.steps, ns.ascii)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
@@ -142,6 +153,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # the flush at exit would fail again: point stdout at devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_PIPE
+    finally:
+        if collecting:
+            gc.enable()
     if ns.debug:
         print(f"phase1 lookups: {phase1_lookup_count()}", file=sys.stderr)
     return code

@@ -424,7 +424,7 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
     slot = n
 
     def phase1(vp):
-        name = _binder_name(prefix, {vp[v.key][1] for v in rest})
+        name = _binder_name(prefix, {vp[v.key][1] for v in rest} if rest else ())
         # the one table of this seal: enter x for the body, then restore the
         # entry of an outer x that shares the key, if any
         outer = vp.get(key)

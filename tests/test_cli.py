@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import io
 import subprocess
 import sys
@@ -219,3 +221,65 @@ def test_cli_file_out_of_resources_exit_3(tmp_path, capsys, monkeypatch, exc, co
     assert r.out == ""
     assert r.err.startswith(f"{path}: {code}: ")
     assert r.err.count("\n") == 1 and "Traceback" not in r.err
+
+
+@contextlib.contextmanager
+def _collector(on):
+    was = gc.isenabled()
+    (gc.enable if on else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+# script (None: no such file), extra arguments, exit code, calls of nf
+_EXITS = {
+    "ok": ("def id = ΛX.λx:X.x;\nassert id : ∀X.(X ⇒ X);\neval id;\n", [], 0, 1),
+    "type-error": ("assert ΛX.λx:X.x : ∀X.X;\n", [], 1, 0),
+    "parse-error": ("def broken = fun x:.x;\n", [], 1, 0),
+    "io-error": (None, [], 1, 0),
+    "budget": (
+        "eval ((fun x:all X.X.(x x)) (fun x:all X.X.(x x)));\n",
+        ["--steps", "200"],
+        2,
+        1,
+    ),
+    "too-deep": ("eval ΛX.λx:X.x;\n", [], 3, 1),
+}
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("case", list(_EXITS))
+def test_cli_leaves_the_collector_as_found(tmp_path, capsys, monkeypatch, case, collecting):
+    # the work runs with the cyclic collector off, and every exit restores
+    # the state the collector was in when main was called
+    text, args, code, calls = _EXITS[case]
+    path = tmp_path / "s.sf"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    seen = []
+    nf = bindcore.cli.nf
+
+    def recording_nf(*a, **kw):
+        seen.append(gc.isenabled())
+        if case == "too-deep":
+            raise RecursionError()
+        return nf(*a, **kw)
+
+    monkeypatch.setattr(bindcore.cli, "nf", recording_nf)
+    with _collector(collecting):
+        assert main([*args, str(path)]) == code
+        assert gc.isenabled() is collecting
+    assert seen == [False] * calls
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+def test_cli_usage_error_leaves_the_collector_as_found(tmp_path, capsys, collecting):
+    path = tmp_path / "s.sf"
+    path.write_text("print ΛX.λx:X.x;\n", encoding="utf-8")
+    with _collector(collecting):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--steps", "-1", str(path)])
+        assert exit_.value.code == 2
+        assert gc.isenabled() is collecting

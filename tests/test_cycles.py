@@ -7,7 +7,9 @@ keeps its memory flat with the collector off.
 import gc
 import random
 
-from bindcore import bind_var, box_vars, unbox
+import pytest
+
+from bindcore import bind_var, box_vars, cli, debug_enabled, enable_debug, unbox
 from bindcore._stack import call_with_deep_stack
 from bindcore.parser import parse_script
 from bindcore.systemf import (
@@ -25,7 +27,7 @@ from bindcore.systemf import (
     update_names,
 )
 from bindcore.typecheck import TypeCheckError, check, infer
-from church import mult_term
+from church import exp_term, mult_term
 from gen import TermGen
 
 
@@ -87,3 +89,54 @@ def test_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# script (bytes, or None for a missing file) and the exit code of the run
+_CLI_SCRIPTS = {
+    "ok": (
+        "def id : ∀X.(X ⇒ X) = ΛX.λx:X.x;\n"
+        "assert (id [∀Y.(Y ⇒ Y)]) : ((∀Y.(Y ⇒ Y)) ⇒ (∀Y.(Y ⇒ Y)));\n"
+        "eval ((id [∀Y.(Y ⇒ Y)]) id);\n"
+        "print id;\n".encode(),
+        0,
+    ),
+    "io-error-missing": (None, 1),
+    "io-error-undecodable": (b"print \xff;\n", 1),
+    "parse-error": ("def broken = fun x:.x;\n".encode(), 1),
+    "type-error": ("assert ΛX.λx:X.x : ∀X.X;\n".encode(), 1),
+    "budget": (b"eval ((fun x:all X.X.(x x)) (fun x:all X.X.(x x)));\n", 2),
+    # a normal form 1024 applications deep overflows nf on an ordinary thread
+    "too-deep-statement": (f"eval {print_te(exp_term(2, 10))};\n".encode(), 3),
+    "too-deep-file": (
+        ("print " + "(" * 3000 + "ΛX.λx:X.x" + ")" * 3000 + ";\n").encode(),
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("debug", [False, True], ids=["plain", "debug"])
+@pytest.mark.parametrize("case", list(_CLI_SCRIPTS))
+def test_cli_run_leaves_no_cyclic_garbage(tmp_path, capsys, case, debug):
+    # `_run_files` is what `main` runs with the collector off, after parsing
+    # its arguments; `main` itself is not run here, because its argparse
+    # parser leaves a fixed 39 cyclic objects on every call
+    text, code = _CLI_SCRIPTS[case]
+    path = tmp_path / "s.sf"
+    if text is not None:
+        path.write_bytes(text)
+    args = ([str(path)], 200, False)
+    prev = debug_enabled()
+    enable_debug(debug)
+    gc.collect()
+    gc.disable()
+    try:
+        if code == 3:
+            # too deep for an ordinary thread's limit; the deep-stack thread
+            # would need a million frames to overflow
+            assert cli._run_files(*args) == code
+        else:
+            assert call_with_deep_stack(cli._run_files, *args) == code
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+        enable_debug(prev)
