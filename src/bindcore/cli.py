@@ -23,7 +23,8 @@ back on afterwards only if it was on.  Values hold no reference cycles
 (`tests/test_cycles.py` keeps them so), so reference counting frees them,
 and the collector would only re-traverse the live graph of sealed closures.
 The setting is process-wide, so `run_script` and the library leave it to
-their callers.
+their callers.  `--debug` turns the core's debug mode on for the run alone:
+`main` restores the mode it found on every exit, as it does the collector.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import sys
 from typing import IO, Optional
 
 from ._stack import call_with_deep_stack
-from .core import enable_debug, phase1_lookup_count
+from .core import debug_enabled, enable_debug, phase1_lookup_count
 from .parser import AssertType, Def, Eval, ParseError, Print, Script, parse_script
 from .systemf import StepBudgetExceeded, nf, print_te
 from .typecheck import TypeCheckError, check
@@ -141,10 +142,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     ns = ap.parse_args(argv)
     if ns.steps < 0:
         ap.error(f"argument --steps: must be non-negative, got {ns.steps}")
+    # the work runs with the cyclic collector off and in the debug mode
+    # asked for (see the module docstring)
+    debugging = debug_enabled()
+    collecting = gc.isenabled()
     if ns.debug:
         enable_debug(True)
-    # the work runs with the cyclic collector off (see the module docstring)
-    collecting = gc.isenabled()
     gc.disable()
     try:
         code = call_with_deep_stack(_run_files, ns.files, ns.steps, ns.ascii)
@@ -154,6 +157,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_PIPE
     finally:
+        enable_debug(debugging)
         if collecting:
             gc.enable()
     if ns.debug:

@@ -13,7 +13,12 @@ Binder names are chosen in phase one too, outermost first: a binder keeps
 its variable's name without the trailing digits and takes the smallest
 suffix that no variable free in its body shows under its final name.  So a
 freshly sealed value never shows two variables under one name;
-substitution does not rename.
+substitution does not rename.  Each seal keeps, beside its key-to-slot
+table, a count of the names its entries show and, per prefix, a suffix
+below which every suffix is shown.  A binder whose body has every entry of
+the table free is named from these in amortised constant time, so a
+telescope is named in near-linear time; any other binder collects the
+names its body shows, at a cost linear in their number.
 
 Debug instrumentation (slot-lookup counter, environment owner tags) is
 enabled by setting the BINDCORE_DEBUG environment variable to any non-empty
@@ -190,8 +195,9 @@ class Open(Generic[T]):
 
     `vars` is strictly ascending by key; `bound` counts environment slots
     already reserved for variables bound inside the box.  `closure` takes a
-    table from each free variable's key to its (slot, display name) pair and
-    returns a function evaluating the content in a slot store.
+    seal's table (a `_Seal`) from each free variable's key to its (slot,
+    display name) pair and returns a function evaluating the content in a
+    slot store.
     """
 
     vars: tuple[Var, ...]
@@ -200,6 +206,20 @@ class Open(Generic[T]):
 
 
 BoxVal = Union[Closed[T], Open[T]]
+
+
+class _Seal(dict):
+    """The table of one seal: each variable in scope, by key, to its (slot,
+    display name) pair.
+
+    `shown` counts the entries per name they show.  `low` maps a prefix to a
+    suffix below which every suffix is shown: a name `p` + `str(i)` can only
+    be shown by a variable whose prefix is `p`, so `low[p]` is broken only
+    when a `p`-name leaves `shown`, and whoever removes it restores `low[p]`.
+    `unbox` makes the one instance of each seal and sets both.
+    """
+
+    __slots__ = ("shown", "low")
 
 
 def new_var(mkfree: Callable[[Var[T]], T], name: str) -> Var[T]:
@@ -359,16 +379,24 @@ def _index_of(vs: tuple[Var, ...], key: int) -> int:
     return i if i < len(vs) and vs[i].key == key else -1
 
 
-def _binder_name(prefix: str, taken: Collection[str]) -> str:
+def _binder_name(prefix: str, taken: Collection[str], i: int = 0) -> tuple[str, int]:
     # keep the prefix, pick the smallest suffix (none < 0 < 1 < ...) whose
     # rendering is not in `taken`, the names shown by the variables left
-    # free in the body
+    # free in the body; every suffix below i must be taken.  Returns the
+    # name and its suffix, -1 for none.
     if prefix and prefix not in taken:
-        return prefix
-    i = 0
+        return prefix, -1
     while f"{prefix}{i}" in taken:
         i += 1
-    return f"{prefix}{i}"
+    return f"{prefix}{i}", i
+
+
+def _unshow(shown: dict[str, int], name: str) -> None:
+    n = shown[name]
+    if n == 1:
+        del shown[name]
+    else:
+        shown[name] = n - 1
 
 
 def _bound_body(cl: Callable, vp: dict, slot: int, key: int) -> Callable[[list], Any]:
@@ -390,14 +418,19 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
 
     The binder's name is chosen when the box is sealed, once the names of
     the variables left free in the body are final, so that it clashes with
-    none of them.  Binding a box's last free variable leaves nothing open,
-    so that binder is sealed by `unbox` at once.
+    none of them.  When the body's free variables are every entry of the
+    seal's table (`len(rest) == len(vp)`, since `rest` is a subset), the
+    name comes from the seal's name tables in amortised constant time, as
+    in a telescope; otherwise it costs the number of those variables.  The
+    binder updates the tables for its body and restores them after it, as
+    it does its own entry.  Binding a box's last free variable leaves
+    nothing open, so that binder is sealed by `unbox` at once.
     """
     mkfree = x.mkfree
     prefix = x.name.rstrip("0123456789")
     if isinstance(b, Closed):
         v = b.value
-        return Closed(Binder(_binder_name(prefix, ()), False, 0, mkfree, lambda _a: v))
+        return Closed(Binder(_binder_name(prefix, ())[0], False, 0, mkfree, lambda _a: v))
     vs = b.vars
     n = b.bound
     cl = b.closure
@@ -408,7 +441,10 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
         rank = len(vs)
 
         def phase1_skip(vp):
-            name = _binder_name(prefix, {vp[v.key][1] for v in vs})
+            if len(vs) == len(vp):
+                name = _binder_name(prefix, vp.shown, vp.low.get(prefix, 0))[0]
+            else:
+                name = _binder_name(prefix, {vp[v.key][1] for v in vs})[0]
             body2 = cl(vp)
 
             def phase2(env):
@@ -424,16 +460,36 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
     slot = n
 
     def phase1(vp):
-        name = _binder_name(prefix, {vp[v.key][1] for v in rest} if rest else ())
+        shown = vp.shown
+        low = vp.low
+        back = low.get(prefix, 0)
+        if len(rest) == len(vp):
+            # rest covers the table, so it shows the names in `shown`
+            name, i = _binder_name(prefix, shown, back)
+            if i >= 0:
+                # suffixes up to i are shown in the body, and up to i - 1
+                # again once x's entry is gone
+                low[prefix] = i + 1
+                back = i
+        else:
+            name = _binder_name(prefix, {vp[v.key][1] for v in rest})[0]
         # the one table of this seal: enter x for the body, then restore the
         # entry of an outer x that shares the key, if any
         outer = vp.get(key)
         vp[key] = (slot, name)
+        shown[name] = shown.get(name, 0) + 1
+        if outer is not None:
+            # the outer entry's name has x's prefix and is hidden in the body
+            _unshow(shown, outer[1])
+            low[prefix] = 0
         body = _bound_body(cl, vp, slot, key)
+        _unshow(shown, name)
         if outer is None:
             del vp[key]
         else:
             vp[key] = outer
+            shown[outer[1]] = shown.get(outer[1], 0) + 1
+        low[prefix] = back
 
         def phase2(env):
             def value(a):
@@ -458,9 +514,13 @@ def unbox(b: BoxVal[T]) -> T:
         return b.value
     vs = b.vars
     n = b.bound
-    vp = {}
+    vp = _Seal()
+    vp.low = {}
+    vp.shown = shown = {}
     for i, v in enumerate(vs):
-        vp[v.key] = (n + i, name_of(v))
+        name = v.name
+        vp[v.key] = (n + i, name)
+        shown[name] = shown.get(name, 0) + 1
     phase2 = b.closure(vp)
     env = [None] * n + [v.mkfree(v) for v in vs]
     if _debug:

@@ -291,15 +291,10 @@ def churn(rng: random.Random, t: Te, rounds: int = 3) -> Te:
     return t
 
 
-def assert_no_visual_capture(t: Te) -> None:
-    """No binder may share its name with a variable free beneath it, and no
-    two distinct variables visible in one scope may render alike."""
-
-    def check(bound_name: str, frees: set[tuple[int, str]]) -> None:
-        seen: dict[str, int] = {}
-        for k, n in frees:
-            assert seen.setdefault(n, k) == k, f"two free variables render as {n!r}"
-        assert bound_name not in seen, f"binder {bound_name!r} shadows a free variable"
+def _check_binders(t: Te | Ty, check) -> None:
+    """Call `check(name, frees)` at every binder of a term or type, where
+    `frees` holds the (key, name) pairs of the other variables free in the
+    binder's body."""
 
     def go_ty(a: Ty) -> set[tuple[int, str]]:
         match a:
@@ -335,4 +330,43 @@ def assert_no_visual_capture(t: Te) -> None:
                 return go(fn) | go_ty(a)
         raise TypeError
 
-    go(t)
+    if isinstance(t, (TyVar, TyArr, TyAll)):
+        go_ty(t)
+    else:
+        go(t)
+
+
+def assert_no_visual_capture(t: Te | Ty) -> None:
+    """No binder may share its name with a variable free beneath it, and no
+    two distinct variables visible in one scope may render alike."""
+
+    def check(bound_name: str, frees: set[tuple[int, str]]) -> None:
+        seen: dict[str, int] = {}
+        for k, n in frees:
+            assert seen.setdefault(n, k) == k, f"two free variables render as {n!r}"
+        assert bound_name not in seen, f"binder {bound_name!r} shadows a free variable"
+
+    _check_binders(t, check)
+
+
+def least_free_name(prefix: str, taken: set[str]) -> str:
+    """The first of prefix, prefix0, prefix1, ... that is not in `taken`
+    (the bare prefix only when it is non-empty): the naming rule of a seal."""
+    if prefix and prefix not in taken:
+        return prefix
+    i = 0
+    while f"{prefix}{i}" in taken:
+        i += 1
+    return f"{prefix}{i}"
+
+
+def assert_names_minimal(t: Te | Ty) -> None:
+    """Every binder shows the least name its prefix (the name without
+    trailing digits) allows beside the other variables free in its body, as
+    a freshly sealed value does."""
+
+    def check(bound_name: str, frees: set[tuple[int, str]]) -> None:
+        want = least_free_name(bound_name.rstrip("0123456789"), {n for _, n in frees})
+        assert bound_name == want, f"binder {bound_name!r} should be {want!r}"
+
+    _check_binders(t, check)

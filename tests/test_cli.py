@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import bindcore.cli
+from bindcore import debug_enabled, enable_debug
 from bindcore.cli import main, run_script
 from bindcore.parser import parse_script
 
@@ -233,6 +234,16 @@ def _collector(on):
         (gc.enable if was else gc.disable)()
 
 
+@contextlib.contextmanager
+def _debug_mode(on):
+    was = debug_enabled()
+    enable_debug(on)
+    try:
+        yield
+    finally:
+        enable_debug(was)
+
+
 # script (None: no such file), extra arguments, exit code, calls of nf
 _EXITS = {
     "ok": ("def id = ΛX.λx:X.x;\nassert id : ∀X.(X ⇒ X);\neval id;\n", [], 0, 1),
@@ -253,7 +264,7 @@ _EXITS = {
 @pytest.mark.parametrize("case", list(_EXITS))
 def test_cli_leaves_the_collector_as_found(tmp_path, capsys, monkeypatch, case, collecting):
     # the work runs with the cyclic collector off, and every exit restores
-    # the state the collector was in when main was called
+    # the state the collector and the debug mode were in when main was called
     text, args, code, calls = _EXITS[case]
     path = tmp_path / "s.sf"
     if text is not None:
@@ -268,10 +279,13 @@ def test_cli_leaves_the_collector_as_found(tmp_path, capsys, monkeypatch, case, 
         return nf(*a, **kw)
 
     monkeypatch.setattr(bindcore.cli, "nf", recording_nf)
-    with _collector(collecting):
-        assert main([*args, str(path)]) == code
-        assert gc.isenabled() is collecting
-    assert seen == [False] * calls
+    for debugging in (False, True):
+        for flags in ([], ["--debug"]):
+            with _collector(collecting), _debug_mode(debugging):
+                assert main([*flags, *args, str(path)]) == code
+                assert gc.isenabled() is collecting
+                assert debug_enabled() is debugging
+    assert seen == [False] * (4 * calls)
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])

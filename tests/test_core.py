@@ -2,10 +2,11 @@ import random
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bindcore import (
+    Binder,
     Closed,
     Open,
     apply_box,
@@ -30,7 +31,7 @@ from bindcore import (
     unbox,
 )
 from bindcore.core import _index_of, _merge_vars
-from gen import leaf_free, random_box, var_pool
+from gen import leaf_free, least_free_name, random_box, var_pool
 
 mk = leaf_free
 
@@ -363,6 +364,163 @@ def test_binders_named_outermost_first():
     outer = unbox(bind_var(x, bind_var(y, box_var(x))))
     inner = subst(outer, ("lit", 0))
     assert (outer.name, inner.name) == ("x", "x0")
+
+
+def _tuple_box(vs):
+    # a box of the tuple of the variables vs
+    out = box(())
+    for v in vs:
+        out = apply_box(apply_box(box(lambda t: lambda a: t + (a,)), out), box_var(v))
+    return out
+
+
+def _telescope(ws, body):
+    # bind ws over body, the first outermost
+    for w in reversed(ws):
+        body = bind_var(w, body)
+    return body
+
+
+def _names(b, n):
+    # the names of n nested binders, the outermost first
+    out = []
+    for _ in range(n):
+        out.append(b.name)
+        b = subst(b, ("lit", 0))
+    return out
+
+
+def test_sibling_binders_reuse_a_suffix():
+    # each sibling is named as if the other were not there: the name it takes
+    # is free again once its body is sealed
+    z = new_var(mk, "x")
+    a, b = new_var(mk, "x"), new_var(mk, "x3")
+    pair = lambda p: lambda q: ("pair", p, q)
+    left = bind_var(a, _tuple_box([a, z]))
+    right = bind_var(b, _tuple_box([b, z]))
+    outer = unbox(bind_var(z, apply_box(apply_box(box(pair), left), right)))
+    _, l, r = subst(outer, ("lit", 0))
+    assert (outer.name, l.name, r.name) == ("x", "x0", "x0")
+    # and so does each level of two sibling telescopes
+    ws, us = [new_var(mk, "x") for _ in range(3)], [new_var(mk, "x") for _ in range(3)]
+    left = _telescope(ws, _tuple_box([z, *ws]))
+    right = _telescope(us, _tuple_box([z, *us]))
+    outer = unbox(bind_var(z, apply_box(apply_box(box(pair), left), right)))
+    _, l, r = subst(outer, ("lit", 0))
+    assert _names(l, 3) == _names(r, 3) == ["x0", "x1", "x2"]
+
+
+def test_binder_names_around_a_free_x7_bound_again_inside():
+    # v is free, shown as x7, and bound twice inside: in there x7 is free to
+    # take, and after it is shown again.  y stays free in every body, so the
+    # binders of v are sealed with the rest, not one by one.
+    v, y = new_var(mk, "x7"), new_var(mk, "y")
+    ws = [new_var(mk, "x") for _ in range(8)]
+    us = [new_var(mk, "x") for _ in range(9)]
+    pair = lambda p: lambda q: ("pair", p, q)
+    inner = _telescope(ws, _tuple_box([v, y, *ws]))
+    shadowed = bind_var(v, apply_box(apply_box(box(pair), box_var(v)), bind_var(v, inner)))
+    after = _telescope(us, _tuple_box([v, y, *us]))
+    _, outer, rest = unbox(apply_box(apply_box(box(pair), shadowed), after))
+    _, _, again = subst(outer, ("lit", 0))
+    assert (outer.name, again.name) == ("x", "x")
+    assert _names(subst(again, ("lit", 1)), 8) == ["x0", "x1", "x2", "x3", "x4", "x5", "x6", "x7"]
+    assert _names(rest, 9) == ["x", "x0", "x1", "x2", "x3", "x4", "x5", "x6", "x8"]
+
+
+# Nested boxes of pairs and binders, drawn as trees over the variables in
+# scope: ("var", k) is the k-th of them (modulo their number), ("scope",) a
+# tuple of all of them, ("bind", n, body) binds a fresh variable named
+# _NAMES[n] and ("rebind", k, body) binds the k-th again, under its key.  The
+# variables in scope at the root are named after a subset of _NAMES.  The
+# names cover shared prefixes, an empty prefix ("42"), the distinct names x7
+# and x007, and two variables named x.
+_NAMES = ("x", "x", "x0", "x7", "x007", "x12", "42", "y")
+_trees = st.recursive(
+    st.one_of(
+        st.just(("lit",)),
+        st.just(("scope",)),
+        st.tuples(st.just("var"), st.integers(0, 15)),
+    ),
+    lambda kids: st.one_of(
+        st.tuples(st.just("pair"), kids, kids),
+        st.tuples(st.just("bind"), st.integers(0, len(_NAMES) - 1), kids),
+        st.tuples(st.just("rebind"), st.integers(0, 15), kids),
+    ),
+    max_leaves=20,
+)
+
+
+def _resolve(tree, scope):
+    # the tree with variables in place of indices: ("lit",), ("var", v),
+    # ("pair", l, r) or ("bind", v, body)
+    tag = tree[0]
+    if tag == "var":
+        return ("var", scope[tree[1] % len(scope)])
+    if tag == "scope":
+        out = ("lit",)
+        for v in scope:
+            out = ("pair", out, ("var", v))
+        return out
+    if tag == "pair":
+        return ("pair", _resolve(tree[1], scope), _resolve(tree[2], scope))
+    if tag == "bind":
+        v = new_var(mk, _NAMES[tree[1]])
+        return ("bind", v, _resolve(tree[2], [*scope, v]))
+    if tag == "rebind":
+        return ("bind", scope[tree[1] % len(scope)], _resolve(tree[2], scope))
+    return tree
+
+
+def _ast_box(ast):
+    tag = ast[0]
+    if tag == "lit":
+        return box(("lit",))
+    if tag == "var":
+        return box_var(ast[1])
+    if tag == "bind":
+        return bind_var(ast[1], _ast_box(ast[2]))
+    pair = lambda p: lambda q: ("pair", p, q)
+    return apply_box(apply_box(box(pair), _ast_box(ast[1])), _ast_box(ast[2]))
+
+
+def _ast_free(ast) -> dict:
+    # the free variables of an ast, by key
+    tag = ast[0]
+    if tag == "var":
+        return {ast[1].key: ast[1]}
+    if tag == "pair":
+        return {**_ast_free(ast[1]), **_ast_free(ast[2])}
+    if tag == "bind":
+        free = _ast_free(ast[2])
+        free.pop(ast[1].key, None)
+        return free
+    return {}
+
+
+@settings(max_examples=400)
+@given(_trees, st.sets(st.integers(0, len(_NAMES) - 1), min_size=1))
+# x0 bound again beside y, so that its binder takes x and x0 is free inside
+@example(("pair", ("var", 0), ("rebind", 0, ("bind", 0, ("scope",)))), {2, 7})
+def test_binder_names_follow_the_reference_rule(tree, roots):
+    # each binder, outermost first, takes the least name its prefix allows
+    # beside the names the other variables free in its body show
+    ast = _resolve(tree, [new_var(mk, _NAMES[i]) for i in sorted(roots)])
+
+    def walk(ast, value, shown):
+        tag = ast[0]
+        if tag == "pair":
+            walk(ast[1], value[1], shown)
+            walk(ast[2], value[2], shown)
+        elif tag == "bind":
+            x, body = ast[1], ast[2]
+            free = _ast_free(body)
+            taken = {shown[k] for k in free if k != x.key}
+            want = least_free_name(x.name.rstrip("0123456789"), taken)
+            assert isinstance(value, Binder) and value.name == want
+            walk(body, subst(value, ("lit",)), {**shown, x.key: want} if x.key in free else shown)
+
+    walk(ast, unbox(_ast_box(ast)), {k: v.name for k, v in _ast_free(ast).items()})
 
 
 # --- two-phase discipline ----------------------------------------------------------

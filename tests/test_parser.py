@@ -3,6 +3,7 @@ import random
 import pytest
 
 from bindcore import eq_vars, name_of, new_var
+from bindcore._stack import call_with_deep_stack
 from bindcore.parser import (
     AssertType,
     Def,
@@ -27,7 +28,7 @@ from bindcore.systemf import (
     print_ty,
     update_names,
 )
-from gen import TermGen, churn, free_split
+from gen import TermGen, assert_names_minimal, churn, free_split
 
 
 def test_parse_type_variants():
@@ -206,3 +207,30 @@ def test_round_trip_random_terms_both_alphabets():
             shown = print_te(fixed, ascii=ascii_mode)
             back = parse_term(shown, free_te=te_frees, free_ty=ty_frees)
             assert eq_te(back, t)
+            assert_names_minimal(back)
+
+
+def test_telescope_binders_named_minimally():
+    # a depth-300 telescope like the benchmark's: every fourth binder takes a
+    # polymorphic identity, and the binders of each sort share one prefix
+    d = 300
+    kinds = ["g" if j % 4 == 0 else "f" for j in range(1, d + 1)]
+    binders = "".join(
+        f"λf{j}:(A ⇒ A)." if k == "f" else f"λg{j}:∀P.(P ⇒ P)."
+        for j, k in enumerate(kinds, 1)
+    )
+    heads = "".join(
+        f"(f{j} " if kinds[j - 1] == "f" else f"((g{j} [A]) " for j in range(d, 0, -1)
+    )
+    text = f"ΛA.λx0:A.{binders}{heads}x0" + ")" * d
+
+    def parse_and_check():
+        t = parse_term(text)
+        assert_names_minimal(t)
+        return print_te(t)
+
+    shown = call_with_deep_stack(parse_and_check)
+    assert shown.startswith(
+        "ΛA.λx:A.λf:(A ⇒ A).λf0:(A ⇒ A).λf1:(A ⇒ A).λg:∀P.(P ⇒ P).λf2:(A ⇒ A)."
+    )
+    assert f"λg{d // 4 - 2}:∀P.(P ⇒ P).(" in shown

@@ -47,7 +47,13 @@ from bindcore.systemf import (
 )
 from bindcore.typecheck import infer
 from church import church, mult_term
-from gen import TermGen, assert_no_visual_capture, churn, free_split
+from gen import (
+    TermGen,
+    assert_names_minimal,
+    assert_no_visual_capture,
+    churn,
+    free_split,
+)
 
 
 def worked_example():
@@ -218,6 +224,24 @@ def test_nf_result_shows_no_visual_capture():
     for _ in range(60):
         t, _ = g.sample()
         assert_no_visual_capture(nf(t))  # the seal that ends `nf` names its binders
+
+
+def test_sealed_terms_name_binders_minimally():
+    rng = random.Random(4242)
+    g = TermGen(rng, max_depth=6, max_size=40)
+    unsealed = 0
+    for _ in range(60):
+        t, _ = g.sample()
+        assert_names_minimal(t)
+        assert_names_minimal(nf(t))
+        churned = churn(rng, t)
+        assert_names_minimal(update_names(churned))
+        try:
+            assert_names_minimal(churned)
+        except AssertionError:
+            unsealed += 1
+    # substitution does not rename, so churning leaves some names too large
+    assert unsealed > 0
 
 
 # --- printing ---------------------------------------------------------------------
