@@ -23,8 +23,11 @@ back on afterwards only if it was on.  Values hold no reference cycles
 (`tests/test_cycles.py` keeps them so), so reference counting frees them,
 and the collector would only re-traverse the live graph of sealed closures.
 The setting is process-wide, so `run_script` and the library leave it to
-their callers.  `--debug` turns the core's debug mode on for the run alone:
-`main` restores the mode it found on every exit, as it does the collector.
+their callers.  `--debug` turns the core's debug mode on until the run ends,
+so that each box the run seals is checked, and then reports on stderr the
+slot lookups counted during the run.  Runs that overlap in one process share
+both settings: the first run to start saves them, and the last one to end
+restores them, on every exit.
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ import argparse
 import gc
 import os
 import sys
-from typing import IO, Optional
+import threading
+from contextlib import contextmanager
+from typing import IO, Iterator, Optional
 
 from ._stack import call_with_deep_stack
 from .core import debug_enabled, enable_debug, phase1_lookup_count
@@ -117,6 +122,35 @@ def _run_files(files: list[str], steps: int, ascii_out: bool) -> int:
     return 0
 
 
+_lock = threading.Lock()  # guards `_active` and `_saved`
+_active = 0  # runs of `main` in progress
+_saved = (True, False)  # collector and debug mode before the first of them
+
+
+@contextmanager
+def _run_settings(debug: bool) -> Iterator[None]:
+    # the collector off and, for a --debug run, debug mode on, from the
+    # first overlapping run's start to the last one's end
+    global _active, _saved
+    with _lock:
+        if _active == 0:
+            _saved = (gc.isenabled(), debug_enabled())
+        _active += 1
+        gc.disable()
+        if debug:
+            enable_debug(True)
+    try:
+        yield
+    finally:
+        with _lock:
+            _active -= 1
+            if _active == 0:
+                collecting, debugging = _saved
+                enable_debug(debugging)
+                if collecting:
+                    gc.enable()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     ap = argparse.ArgumentParser(
         prog="bindcore",
@@ -142,26 +176,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     ns = ap.parse_args(argv)
     if ns.steps < 0:
         ap.error(f"argument --steps: must be non-negative, got {ns.steps}")
-    # the work runs with the cyclic collector off and in the debug mode
-    # asked for (see the module docstring)
-    debugging = debug_enabled()
-    collecting = gc.isenabled()
+    lookups = phase1_lookup_count()
+    with _run_settings(ns.debug):
+        try:
+            code = call_with_deep_stack(_run_files, ns.files, ns.steps, ns.ascii)
+            sys.stdout.flush()  # a closed pipe fails here, not at exit
+        except BrokenPipeError:
+            # the flush at exit would fail again: point stdout at devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_CLOSED_PIPE
     if ns.debug:
-        enable_debug(True)
-    gc.disable()
-    try:
-        code = call_with_deep_stack(_run_files, ns.files, ns.steps, ns.ascii)
-        sys.stdout.flush()  # a closed pipe fails here, not at exit
-    except BrokenPipeError:
-        # the flush at exit would fail again: point stdout at devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_CLOSED_PIPE
-    finally:
-        enable_debug(debugging)
-        if collecting:
-            gc.enable()
-    if ns.debug:
-        print(f"phase1 lookups: {phase1_lookup_count()}", file=sys.stderr)
+        print(f"phase1 lookups: {phase1_lookup_count() - lookups}", file=sys.stderr)
     return code
 
 

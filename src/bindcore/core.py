@@ -20,20 +20,22 @@ the table free is named from these in amortised constant time, so a
 telescope is named in near-linear time; any other binder collects the
 names its body shows, at a cost linear in their number.
 
-Debug instrumentation (slot-lookup counter, environment owner tags) is
+Debug instrumentation (a slot-lookup counter and a check of each lookup) is
 enabled by setting the BINDCORE_DEBUG environment variable to any non-empty
 value, or at runtime via `enable_debug`.  The mode is read when a box is
-sealed, so every closure and environment of one seal runs in one mode.
+sealed and decides only what the seal checks: phase two, and the plain list
+it runs in, are one program in both modes.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Callable, Collection, Generic, TypeVar, Union
+from typing import Callable, Collection, Generic, TypeVar, Union
 
 T = TypeVar("T")
 A = TypeVar("A")
@@ -91,12 +93,20 @@ class _Stats:
 _stats = _Stats()
 
 
+class _Substituting(threading.local):
+    # set on a thread while a debug-mode `subst` runs there
+    on = False
+
+
+_substituting = _Substituting()
+
+
 def enable_debug(on: bool = True) -> None:
     """Toggle debug instrumentation at runtime.
 
     The mode is read when `unbox` seals a box, so it applies to boxes
-    sealed after the call; binders sealed before keep the mode they were
-    sealed in.
+    sealed after the call, and decides only what the seal checks; `subst`
+    reads it to check that no lookup runs during a substitution.
     """
     global _debug
     _debug = bool(on)
@@ -116,27 +126,7 @@ def phase1_lookup_count() -> int:
 # An environment is a fixed-size slot store, a plain list.  Slots below a
 # box's bound count belong to variables bound inside it; the remaining slots
 # hold free variables and are assigned at unbox time.  A substitution writes
-# its slot in a copy.  In debug mode the store is a `_DebugEnv` instead.
-
-
-class _DebugEnv(list):
-    """A debug-mode slot store: each slot carries the key of the variable
-    that owns it, and every read is checked against it."""
-
-    __slots__ = ("owners",)
-
-    def __init__(self, values: list, owners: list) -> None:
-        super().__init__(values)
-        self.owners = owners
-
-    def copy(self) -> "_DebugEnv":
-        return _DebugEnv(self, self.owners.copy())
-
-    def read(self, slot: int, key: int) -> Any:
-        owner = self.owners[slot]
-        if owner != key:
-            raise BindDebugError(f"slot {slot} owned by key {owner}, read as key {key}")
-        return self[slot]
+# its slot in a copy.
 
 
 # --- variables and boxes ---------------------------------------------------
@@ -216,10 +206,13 @@ class _Seal(dict):
     suffix below which every suffix is shown: a name `p` + `str(i)` can only
     be shown by a variable whose prefix is `p`, so `low[p]` is broken only
     when a `p`-name leaves `shown`, and whoever removes it restores `low[p]`.
-    `unbox` makes the one instance of each seal and sets both.
+    `owners` is None outside debug mode; in it, each slot's owner key, which
+    every lookup is checked against.  The mode decides only these checks:
+    phase two is one program.  `unbox` makes the one instance of each seal
+    and sets all three.
     """
 
-    __slots__ = ("shown", "low")
+    __slots__ = ("shown", "low", "owners")
 
 
 def new_var(mkfree: Callable[[Var[T]], T], name: str) -> Var[T]:
@@ -228,13 +221,18 @@ def new_var(mkfree: Callable[[Var[T]], T], name: str) -> Var[T]:
         raise ValueError("variable name must be non-empty")
     key = next(_keys)
 
-    def phase1(vp: dict, _key=key) -> Callable[[list], T]:
-        if _debug:
+    def phase1(vp: _Seal, _key=key) -> Callable[[list], T]:
+        slot = vp[_key][0]
+        if vp.owners is not None:  # debug mode: count and check the lookup
             _stats.lookups += 1
-            slot = vp[_key][0]
-            return lambda env: env.read(slot, _key)
+            if _substituting.on:
+                raise BindDebugError(f"slot lookup of key {_key} during substitution")
+            if vp.owners[slot] != _key:
+                raise BindDebugError(
+                    f"slot {slot} owned by key {vp.owners[slot]}, read as key {_key}"
+                )
         # a default, not a closure cell: a sealed value keeps one per occurrence
-        return lambda env, slot=vp[_key][0]: env[slot]
+        return lambda env, slot=slot: env[slot]
 
     return Var(key, name, mkfree, phase1)
 
@@ -399,20 +397,6 @@ def _unshow(shown: dict[str, int], name: str) -> None:
         shown[name] = n - 1
 
 
-def _bound_body(cl: Callable, vp: dict, slot: int, key: int) -> Callable[[list], Any]:
-    # phase one of a binder body whose bound variable lives in `slot`; in
-    # debug mode the body first tags the slot with the variable's key
-    body = cl(vp)
-    if not _debug:
-        return body
-
-    def tagged(env):
-        env.owners[slot] = key
-        return body(env)
-
-    return tagged
-
-
 def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
     """Bind a variable in a box, producing a boxed binder.
 
@@ -482,7 +466,13 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
             # the outer entry's name has x's prefix and is hidden in the body
             _unshow(shown, outer[1])
             low[prefix] = 0
-        body = _bound_body(cl, vp, slot, key)
+        if vp.owners is not None:
+            # not restored: the body's binders take slots below this one and
+            # free variables slots at or above the seal's bound count, so
+            # only a fault rewrites it within the body, and after the body
+            # the slot is read only under a binder that sets it again
+            vp.owners[slot] = key
+        body = cl(vp)
         _unshow(shown, name)
         if outer is None:
             del vp[key]
@@ -521,23 +511,22 @@ def unbox(b: BoxVal[T]) -> T:
         name = v.name
         vp[v.key] = (n + i, name)
         shown[name] = shown.get(name, 0) + 1
-    phase2 = b.closure(vp)
-    env = [None] * n + [v.mkfree(v) for v in vs]
-    if _debug:
-        env = _DebugEnv(env, [None] * n + [v.key for v in vs])
-    return phase2(env)
+    vp.owners = [None] * n + [v.key for v in vs] if _debug else None
+    return b.closure(vp)([None] * n + [v.mkfree(v) for v in vs])
 
 
 def subst(b: Binder[A, B], a: A) -> B:
-    """Substitute the bound variable of a binder with a value."""
+    """Substitute the bound variable of a binder with a value.
+
+    In debug mode, a lookup on this thread during it raises `BindDebugError`.
+    """
     if _debug:
-        before = _stats.lookups
-        out = b.value(a)
-        if _stats.lookups != before:
-            raise BindDebugError(
-                f"{_stats.lookups - before} slot lookups during substitution"
-            )
-        return out
+        was = _substituting.on
+        _substituting.on = True
+        try:
+            return b.value(a)
+        finally:
+            _substituting.on = was
     return b.value(a)
 
 

@@ -1,12 +1,23 @@
+from contextlib import contextmanager
+
 import pytest
 
 from bindcore import debug_enabled, enable_debug
 
 
+@contextmanager
+def debug_set(on):
+    """Run a block in debug mode `on`, restoring the old mode after it."""
+    prev = debug_enabled()
+    enable_debug(on)
+    try:
+        yield
+    finally:
+        enable_debug(prev)
+
+
 @pytest.fixture
 def debug_mode():
     """Run a test with debug instrumentation on, restoring the old mode."""
-    prev = debug_enabled()
-    enable_debug(True)
-    yield
-    enable_debug(prev)
+    with debug_set(True):
+        yield

@@ -17,8 +17,6 @@ from bindcore import (
     box_apply2,
     box_var,
     box_vars,
-    debug_enabled,
-    enable_debug,
     new_var,
     occur,
     phase1_lookup_count,
@@ -43,6 +41,7 @@ from bindcore.systemf import (
 from bindcore.typecheck import check, infer
 from bindcore._stack import call_with_deep_stack
 from church import exp_term, numeral_value
+from conftest import debug_set
 from gen import (
     TermGen,
     assert_no_visual_capture,
@@ -71,13 +70,12 @@ def criterion(capsys, name):
 def differential():
     """The 1000-term differential run, executed once with debug checks on.
 
-    With instrumentation enabled, every substitution asserts on its own
-    that it performed zero slot lookups, so this run doubles as the
-    two-phase verification over the whole suite.
+    With instrumentation enabled, every seal checks each slot lookup
+    against the slot's owner and raises on a lookup made during a
+    substitution, so this run doubles as the two-phase verification over
+    the whole suite.
     """
-    prev = debug_enabled()
-    enable_debug(True)
-    try:
+    with debug_set(True):
         rng = random.Random(0xD1FF)
         g = TermGen(rng, max_depth=8, max_size=50)
         total, agree = 1000, 0
@@ -89,8 +87,6 @@ def differential():
             if db.alpha_eq(convert.te_to_named(r), reference):
                 agree += 1
         elapsed = time.perf_counter() - start
-    finally:
-        enable_debug(prev)
     return {"total": total, "agree": agree, "elapsed": elapsed}
 
 
@@ -190,9 +186,7 @@ def test_criterion_6_two_phase_substitution(differential, capsys):
         # lookup inside a substitution would have raised there.  Check the
         # counter delta explicitly on fresh binders as well.
         assert differential["agree"] == differential["total"]
-        prev = debug_enabled()
-        enable_debug(True)
-        try:
+        with debug_set(True):
             rng = random.Random(66)
             pool = var_pool(rng, 5)
             for _ in range(200):
@@ -202,8 +196,6 @@ def test_criterion_6_two_phase_substitution(differential, capsys):
                 before = phase1_lookup_count()
                 subst(binder, ("probe",))
                 assert phase1_lookup_count() == before
-        finally:
-            enable_debug(prev)
 
 
 def test_criterion_7_renaming_round_trip(capsys):

@@ -3,13 +3,15 @@ import gc
 import io
 import subprocess
 import sys
+import threading
 
 import pytest
 
 import bindcore.cli
-from bindcore import debug_enabled, enable_debug
+from bindcore import debug_enabled
 from bindcore.cli import main, run_script
 from bindcore.parser import parse_script
+from conftest import debug_set
 
 GOLDEN = (
     "def appl : ∀X.∀Y.((X ⇒ Y) ⇒ (X ⇒ Y)) = ΛX.ΛY.λf:(X ⇒ Y).λa:X.(f a);\n"
@@ -135,6 +137,18 @@ def test_cli_debug_reports_lookups(tmp_path):
     assert "phase1 lookups:" in r.stderr
 
 
+def test_cli_debug_reports_the_runs_own_count(tmp_path, capsys):
+    path = tmp_path / "appl.sf"
+    path.write_text(GOLDEN, encoding="utf-8")
+    lines = []
+    for _ in range(2):
+        assert main(["--debug", str(path)]) == 0
+        lines.append(capsys.readouterr().err)
+    assert lines[0].startswith("phase1 lookups: ")
+    assert lines[0] != "phase1 lookups: 0\n"
+    assert lines[1] == lines[0]
+
+
 def test_cli_closed_pipe_ends_quietly(tmp_path):
     # lines longer than the output buffer, and far more of them than a pipe
     # holds: the CLI is mid-write when its reader goes away, with output
@@ -234,16 +248,6 @@ def _collector(on):
         (gc.enable if was else gc.disable)()
 
 
-@contextlib.contextmanager
-def _debug_mode(on):
-    was = debug_enabled()
-    enable_debug(on)
-    try:
-        yield
-    finally:
-        enable_debug(was)
-
-
 # script (None: no such file), extra arguments, exit code, calls of nf
 _EXITS = {
     "ok": ("def id = ΛX.λx:X.x;\nassert id : ∀X.(X ⇒ X);\neval id;\n", [], 0, 1),
@@ -281,7 +285,7 @@ def test_cli_leaves_the_collector_as_found(tmp_path, capsys, monkeypatch, case, 
     monkeypatch.setattr(bindcore.cli, "nf", recording_nf)
     for debugging in (False, True):
         for flags in ([], ["--debug"]):
-            with _collector(collecting), _debug_mode(debugging):
+            with _collector(collecting), debug_set(debugging):
                 assert main([*flags, *args, str(path)]) == code
                 assert gc.isenabled() is collecting
                 assert debug_enabled() is debugging
@@ -297,3 +301,47 @@ def test_cli_usage_error_leaves_the_collector_as_found(tmp_path, capsys, collect
             main(["--steps", "-1", str(path)])
         assert exit_.value.code == 2
         assert gc.isenabled() is collecting
+
+
+@pytest.mark.parametrize(
+    "outer, inner",
+    [(True, False), (False, True), (True, True)],
+    ids=["plain-inside-debug", "debug-inside-plain", "debug-inside-debug"],
+)
+def test_overlapping_runs_share_the_settings(capsys, monkeypatch, outer, inner):
+    # run A starts, run B starts inside it and ends after it; each run's work
+    # records the settings as it ends
+    a_started, b_started, a_ended = (threading.Event() for _ in range(3))
+    seen, codes = {}, []
+
+    def work(files, steps, ascii_out):
+        (name,) = files
+        if name == "a":
+            a_started.set()
+            assert b_started.wait(10)
+        else:
+            b_started.set()
+            assert a_ended.wait(10)
+        seen[name] = (gc.isenabled(), debug_enabled())
+        return 0
+
+    def run_a():
+        try:
+            codes.append(main(["--debug", "a"] if outer else ["a"]))
+        finally:
+            a_ended.set()
+
+    monkeypatch.setattr(bindcore.cli, "_run_files", work)
+    with _collector(True), debug_set(False):
+        thread = threading.Thread(target=run_a)
+        thread.start()
+        try:
+            assert a_started.wait(10)
+            assert main(["--debug", "b"] if inner else ["b"]) == 0
+        finally:
+            thread.join(10)
+        assert not thread.is_alive() and codes == [0]
+        assert (gc.isenabled(), debug_enabled()) == (True, False)
+    # the collector stays off, and a --debug run in debug mode, to its end
+    assert seen["a"] == (False, outer or inner)
+    assert seen["b"] == (False, outer or inner)

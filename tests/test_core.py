@@ -1,11 +1,12 @@
 import random
-from contextlib import contextmanager
+import threading
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bindcore import (
+    BindDebugError,
     Binder,
     Closed,
     Open,
@@ -13,11 +14,11 @@ from bindcore import (
     bind_var,
     binder_info,
     box,
+    box_apply,
+    box_apply2,
     box_binder,
     box_var,
     box_vars,
-    debug_enabled,
-    enable_debug,
     eq_binder,
     eq_vars,
     is_closed,
@@ -31,6 +32,7 @@ from bindcore import (
     unbox,
 )
 from bindcore.core import _index_of, _merge_vars
+from conftest import debug_set
 from gen import leaf_free, least_free_name, random_box, var_pool
 
 mk = leaf_free
@@ -546,27 +548,71 @@ def test_unbox_counts_lookups(debug_mode):
     assert phase1_lookup_count() == before + 1
 
 
-@contextmanager
-def debug_set(on):
-    prev = debug_enabled()
-    enable_debug(on)
+def test_lookup_during_substitution_fails_loudly(debug_mode):
+    # a phase-two function that seals a box makes slot lookups while the
+    # binder's substitution runs
+    x, y = new_var(mk, "x"), new_var(mk, "y")
+    seal = lambda a, b: unbox(box_var(y))
+    binder = unbox(bind_var(x, box_apply2(seal, box_var(x), box_var(y))))
+    with pytest.raises(BindDebugError, match="during substitution"):
+        subst(binder, ("lit", 0))
+
+
+def test_seal_on_another_thread_during_substitution(debug_mode):
+    # the substitution's phase two waits while another thread seals a box:
+    # its lookups are not the substitution's
+    x, y = new_var(mk, "x"), new_var(mk, "y")
+    waiting, sealed = threading.Event(), threading.Event()
+
+    def wait_for_seal(a):
+        waiting.set()
+        assert sealed.wait(10)
+        return a
+
+    def seal_elsewhere():
+        assert waiting.wait(10)
+        unbox(bind_var(y, apply_box(box(lambda a: ("w", a)), box_var(y))))
+        sealed.set()
+
+    binder = unbox(bind_var(x, box_apply(wait_for_seal, box_var(x))))
+    other = threading.Thread(target=seal_elsewhere)
+    other.start()
     try:
-        yield
+        assert subst(binder, ("lit", 0)) == ("lit", 0)
     finally:
-        enable_debug(prev)
+        other.join(10)
+    assert not other.is_alive() and sealed.is_set()
+
+
+def test_slot_collision_fails_at_seal_time():
+    # an inner binder that claims no bound slots puts y in slot 0, the slot
+    # that binding x takes next: y's binder overwrites x's value
+    x, y = new_var(mk, "x"), new_var(mk, "y")
+    pair = lambda p: lambda q: ("pair", p, q)
+    inner = bind_var(y, apply_box(apply_box(box(pair), box_var(x)), box_var(y)))
+    assert isinstance(inner, Open) and inner.bound == 1
+    forged = Open(inner.vars, 0, inner.closure)
+    collision = f"slot 0 owned by key {y.key}, read as key {x.key}$"
+    with debug_set(True), pytest.raises(BindDebugError, match=collision):
+        unbox(bind_var(x, forged))
+    with debug_set(False):
+        assert subst(subst(unbox(bind_var(x, forged)), "a"), "b") == ("pair", "b", "b")
 
 
 def test_fast_path_environment_is_a_plain_list():
+    # in either mode: the mode decides only what a seal checks
     x, y = new_var(mk, "x"), new_var(mk, "y")
     # a body over x and y whose evaluation reports the environment's type
     probe = Open((x, y), 0, lambda vp: lambda env: type(env))
-    with debug_set(False):
-        assert unbox(probe) is list
-        # x bound beside y (slot copied per substitution), then y last (sealed)
-        inner = bind_var(x, probe)
-        assert subst(unbox(inner), "a") is list
-        outer = unbox(bind_var(y, inner))
-        assert subst(subst(outer, "b"), "a") is list
+    for debug in (False, True):
+        with debug_set(debug):
+            assert unbox(probe) is list
+            # x bound beside y (slot copied per substitution), then y last
+            # (sealed)
+            inner = bind_var(x, probe)
+            assert subst(unbox(inner), "a") is list
+            outer = unbox(bind_var(y, inner))
+            assert subst(subst(outer, "b"), "a") is list
 
 
 def test_debug_mode_is_read_at_seal_time():
@@ -664,12 +710,3 @@ def test_key_generation_thread_safe():
         th.join()
     keys = [k for chunk in results for k in chunk]
     assert len(set(keys)) == len(keys)
-
-
-def test_debug_env_tag_mismatch_fails_loudly():
-    from bindcore.core import BindDebugError, _DebugEnv
-
-    env = _DebugEnv(["value", None], [11, None])
-    assert env.read(0, 11) == "value"
-    with pytest.raises(BindDebugError):
-        env.read(0, 12)

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from bindcore import bind_var, box_vars, cli, debug_enabled, enable_debug, unbox
+from bindcore import bind_var, box_vars, cli, unbox
 from bindcore._stack import call_with_deep_stack
 from bindcore.parser import parse_script
 from bindcore.systemf import (
@@ -28,6 +28,7 @@ from bindcore.systemf import (
 )
 from bindcore.typecheck import TypeCheckError, check, infer
 from church import exp_term, mult_term
+from conftest import debug_set
 from gen import TermGen
 
 
@@ -125,18 +126,16 @@ def test_cli_run_leaves_no_cyclic_garbage(tmp_path, capsys, case, debug):
     if text is not None:
         path.write_bytes(text)
     args = ([str(path)], 200, False)
-    prev = debug_enabled()
-    enable_debug(debug)
-    gc.collect()
-    gc.disable()
-    try:
-        if code == 3:
-            # too deep for an ordinary thread's limit; the deep-stack thread
-            # would need a million frames to overflow
-            assert cli._run_files(*args) == code
-        else:
-            assert call_with_deep_stack(cli._run_files, *args) == code
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-        enable_debug(prev)
+    with debug_set(debug):
+        gc.collect()
+        gc.disable()
+        try:
+            if code == 3:
+                # too deep for an ordinary thread's limit; the deep-stack
+                # thread would need a million frames to overflow
+                assert cli._run_files(*args) == code
+            else:
+                assert call_with_deep_stack(cli._run_files, *args) == code
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
