@@ -183,7 +183,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             sys.stdout.flush()  # a closed pipe fails here, not at exit
         except BrokenPipeError:
             # the flush at exit would fail again: point stdout at devnull
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
             return EXIT_CLOSED_PIPE
     if ns.debug:
         print(f"phase1 lookups: {phase1_lookup_count() - lookups}", file=sys.stderr)

@@ -3,11 +3,13 @@
 A value "under construction" lives in a box that tracks its free variables.
 Binding a variable (`bind_var`) or sealing a box (`unbox`) runs *phase one*
 of every closure inside: each variable occurrence resolves its key to an
-environment slot index exactly once.  The substitution function stored in a
-binder is pure *phase two*: it writes one slot and re-runs the body closure,
-which only performs slot-indexed reads and constant work per node.  No name
-or key is ever consulted during substitution, so capture cannot arise and
-substitution stays cheap no matter how often the binder is applied.
+environment slot index exactly once.  Slots are levels within the seal: the
+free variables take the first ones, and each binder whose variable occurs
+takes the next one for its body.  The substitution function stored in a binder is pure
+*phase two*: it appends its value to the environment and re-runs the body
+closure, which only performs slot-indexed reads and constant work per node.
+No name or key is ever consulted during substitution, so capture cannot
+arise and substitution stays cheap no matter how often the binder is applied.
 
 Binder names are chosen in phase one too, outermost first: a binder keeps
 its variable's name without the trailing digits and takes the smallest
@@ -106,7 +108,8 @@ def enable_debug(on: bool = True) -> None:
 
     The mode is read when `unbox` seals a box, so it applies to boxes
     sealed after the call, and decides only what the seal checks; `subst`
-    reads it to check that no lookup runs during a substitution.
+    reads it to check that no lookup runs during a substitution, and
+    `box_apply2` to check each merged variable list.
     """
     global _debug
     _debug = bool(on)
@@ -123,10 +126,10 @@ def phase1_lookup_count() -> int:
 
 # --- environments ----------------------------------------------------------
 
-# An environment is a fixed-size slot store, a plain list.  Slots below a
-# box's bound count belong to variables bound inside it; the remaining slots
-# hold free variables and are assigned at unbox time.  A substitution writes
-# its slot in a copy.
+# An environment is a plain list with one entry per slot in scope: the
+# sealed box's free variables, in key order, then the value of each enclosing
+# binder whose variable occurs, outermost first.  A substitution appends its
+# value in a copy.
 
 
 # --- variables and boxes ---------------------------------------------------
@@ -183,15 +186,12 @@ class Closed(Generic[T]):
 class Open(Generic[T]):
     """A box with free variables, evaluated through a two-phase closure.
 
-    `vars` is strictly ascending by key; `bound` counts environment slots
-    already reserved for variables bound inside the box.  `closure` takes a
-    seal's table (a `_Seal`) from each free variable's key to its (slot,
-    display name) pair and returns a function evaluating the content in a
-    slot store.
+    `vars` is strictly ascending by key.  `closure` takes a seal's table (a
+    `_Seal`) from each variable in scope's key to its (slot, display name)
+    pair and returns a function evaluating the content in an environment.
     """
 
     vars: tuple[Var, ...]
-    bound: int
     closure: Callable[[dict], Callable[[list], T]]
 
 
@@ -206,13 +206,13 @@ class _Seal(dict):
     suffix below which every suffix is shown: a name `p` + `str(i)` can only
     be shown by a variable whose prefix is `p`, so `low[p]` is broken only
     when a `p`-name leaves `shown`, and whoever removes it restores `low[p]`.
-    `owners` is None outside debug mode; in it, each slot's owner key, which
-    every lookup is checked against.  The mode decides only these checks:
-    phase two is one program.  `unbox` makes the one instance of each seal
-    and sets all three.
+    `depth` is the number of slots in scope, the slot the next binder takes.
+    `debug` is the mode the seal was made in; it decides only whether each
+    lookup is counted and checked: phase two is one program.  `unbox` makes
+    the one instance of each seal and sets all four.
     """
 
-    __slots__ = ("shown", "low", "owners")
+    __slots__ = ("shown", "low", "depth", "debug")
 
 
 def new_var(mkfree: Callable[[Var[T]], T], name: str) -> Var[T]:
@@ -223,14 +223,10 @@ def new_var(mkfree: Callable[[Var[T]], T], name: str) -> Var[T]:
 
     def phase1(vp: _Seal, _key=key) -> Callable[[list], T]:
         slot = vp[_key][0]
-        if vp.owners is not None:  # debug mode: count and check the lookup
+        if vp.debug:  # count the lookup and check that no substitution runs
             _stats.lookups += 1
             if _substituting.on:
                 raise BindDebugError(f"slot lookup of key {_key} during substitution")
-            if vp.owners[slot] != _key:
-                raise BindDebugError(
-                    f"slot {slot} owned by key {vp.owners[slot]}, read as key {_key}"
-                )
         # a default, not a closure cell: a sealed value keeps one per occurrence
         return lambda env, slot=slot: env[slot]
 
@@ -252,7 +248,7 @@ def box(value: T) -> BoxVal[T]:
 
 def box_var(v: Var[T]) -> BoxVal[T]:
     """The boxed form of a variable, a new box on each call."""
-    return Open((v,), 0, v.phase1)
+    return Open((v,), v.phase1)
 
 
 _key = attrgetter("key")
@@ -334,7 +330,7 @@ def box_apply2(f: Callable[[A, B], C], a: BoxVal[A], b: BoxVal[B]) -> BoxVal[C]:
             b2 = bcl(vp)
             return lambda env, f=f, av=av, b2=b2: f(av, b2(env))
 
-        return Open(b.vars, b.bound, phase1_r)
+        return Open(b.vars, phase1_r)
     if isinstance(b, Closed):
         bv = b.value
         acl = a.closure
@@ -343,7 +339,7 @@ def box_apply2(f: Callable[[A, B], C], a: BoxVal[A], b: BoxVal[B]) -> BoxVal[C]:
             a2 = acl(vp)
             return lambda env, f=f, a2=a2, bv=bv: f(a2(env), bv)
 
-        return Open(a.vars, a.bound, phase1_l)
+        return Open(a.vars, phase1_l)
     acl = a.closure
     bcl = b.closure
 
@@ -355,7 +351,7 @@ def box_apply2(f: Callable[[A, B], C], a: BoxVal[A], b: BoxVal[B]) -> BoxVal[C]:
     merged = _merge_vars(a.vars, b.vars)
     if _debug:
         _check_sorted(merged)
-    return Open(merged, max(a.bound, b.bound), phase1)
+    return Open(merged, phase1)
 
 
 def _call(f: Callable[[A], B], a: A) -> B:
@@ -405,9 +401,10 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
     none of them.  When the body's free variables are every entry of the
     seal's table (`len(rest) == len(vp)`, since `rest` is a subset), the
     name comes from the seal's name tables in amortised constant time, as
-    in a telescope; otherwise it costs the number of those variables.  The
-    binder updates the tables for its body and restores them after it, as
-    it does its own entry.  Binding a box's last free variable leaves
+    in a telescope; otherwise it costs the number of those variables.  A
+    binder whose variable occurs takes the seal's next slot; it updates the
+    tables and the depth for its body and restores them after it, as it
+    does its own entry.  Binding a box's last free variable leaves
     nothing open, so that binder is sealed by `unbox` at once.
     """
     mkfree = x.mkfree
@@ -416,7 +413,6 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
         v = b.value
         return Closed(Binder(_binder_name(prefix, ())[0], False, 0, mkfree, lambda _a: v))
     vs = b.vars
-    n = b.bound
     cl = b.closure
     key = x.key
     idx = _index_of(vs, key)
@@ -437,11 +433,10 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
 
             return phase2
 
-        return Open(vs, n, phase1_skip)
-    # x occurs in the body: reserve the next bound slot
+        return Open(vs, phase1_skip)
+    # x occurs in the body: it takes the seal's next slot
     rest = vs[:idx] + vs[idx + 1:]
     rank = len(rest)
-    slot = n
 
     def phase1(vp):
         shown = vp.shown
@@ -460,19 +455,16 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
         # the one table of this seal: enter x for the body, then restore the
         # entry of an outer x that shares the key, if any
         outer = vp.get(key)
+        slot = vp.depth
         vp[key] = (slot, name)
+        vp.depth = slot + 1
         shown[name] = shown.get(name, 0) + 1
         if outer is not None:
             # the outer entry's name has x's prefix and is hidden in the body
             _unshow(shown, outer[1])
             low[prefix] = 0
-        if vp.owners is not None:
-            # not restored: the body's binders take slots below this one and
-            # free variables slots at or above the seal's bound count, so
-            # only a fault rewrites it within the body, and after the body
-            # the slot is read only under a binder that sets it again
-            vp.owners[slot] = key
         body = cl(vp)
+        vp.depth = slot
         _unshow(shown, name)
         if outer is None:
             del vp[key]
@@ -483,9 +475,7 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
 
         def phase2(env):
             def value(a):
-                env2 = env.copy()
-                env2[slot] = a
-                return body(env2)
+                return body([*env, a])
 
             return Binder(name, True, rank, mkfree, value)
 
@@ -494,8 +484,8 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
     if not rest:
         # x was the last free variable: this Open has no variables and is
         # sealed at once
-        return Closed(unbox(Open(rest, n + 1, phase1)))
-    return Open(rest, n + 1, phase1)
+        return Closed(unbox(Open(rest, phase1)))
+    return Open(rest, phase1)
 
 
 def unbox(b: BoxVal[T]) -> T:
@@ -503,16 +493,16 @@ def unbox(b: BoxVal[T]) -> T:
     if isinstance(b, Closed):
         return b.value
     vs = b.vars
-    n = b.bound
     vp = _Seal()
     vp.low = {}
     vp.shown = shown = {}
+    vp.depth = len(vs)
+    vp.debug = _debug
     for i, v in enumerate(vs):
         name = v.name
-        vp[v.key] = (n + i, name)
+        vp[v.key] = (i, name)
         shown[name] = shown.get(name, 0) + 1
-    vp.owners = [None] * n + [v.key for v in vs] if _debug else None
-    return b.closure(vp)([None] * n + [v.mkfree(v) for v in vs])
+    return b.closure(vp)([v.mkfree(v) for v in vs])
 
 
 def subst(b: Binder[A, B], a: A) -> B:

@@ -70,10 +70,9 @@ def criterion(capsys, name):
 def differential():
     """The 1000-term differential run, executed once with debug checks on.
 
-    With instrumentation enabled, every seal checks each slot lookup
-    against the slot's owner and raises on a lookup made during a
-    substitution, so this run doubles as the two-phase verification over
-    the whole suite.
+    With instrumentation enabled, every seal counts each slot lookup and
+    raises on a lookup made during a substitution, so this run doubles as
+    the two-phase verification over the whole suite.
     """
     with debug_set(True):
         rng = random.Random(0xD1FF)

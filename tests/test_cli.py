@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import io
+import os
 import subprocess
 import sys
 import threading
@@ -169,6 +170,21 @@ def test_cli_closed_pipe_ends_quietly(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == bindcore.cli.EXIT_CLOSED_PIPE == 141
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_cli_closed_pipe_in_process_leaves_no_descriptor_open(tmp_path, monkeypatch):
+    # main pointed at a pipe whose reader is gone: it ends with the closed
+    # pipe's code and closes what it opened to silence stdout
+    path = tmp_path / "appl.sf"
+    path.write_text(GOLDEN, encoding="utf-8")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        before = len(os.listdir("/proc/self/fd"))
+        assert main([str(path)]) == bindcore.cli.EXIT_CLOSED_PIPE
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_cli_stops_at_first_error(tmp_path):

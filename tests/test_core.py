@@ -1,3 +1,4 @@
+import itertools
 import random
 import threading
 
@@ -115,8 +116,7 @@ def test_box_var_is_an_open_box_of_the_variable():
     x = new_var(mk, "x")
     b = box_var(x)
     assert isinstance(b, Open)
-    assert b.vars == (x,)
-    assert b.bound == 0
+    assert box_vars(b) == (x,)
     assert unbox(b) == ("var", x)
 
 
@@ -231,7 +231,6 @@ def test_bind_with_remaining_vars():
     bb = bind_var(x, body)
     assert isinstance(bb, Open)
     assert box_vars(bb) == (y,)
-    assert bb.bound == 1
     b = unbox(bb)
     assert b.occurs is True
     assert b.rank == 1
@@ -506,23 +505,37 @@ def _ast_free(ast) -> dict:
 @example(("pair", ("var", 0), ("rebind", 0, ("bind", 0, ("scope",)))), {2, 7})
 def test_binder_names_follow_the_reference_rule(tree, roots):
     # each binder, outermost first, takes the least name its prefix allows
-    # beside the names the other variables free in its body show
+    # beside the names the other variables free in its body show.  Each is
+    # then given a value of its own, outermost first, and every occurrence
+    # must read its own binder's value, free ones their variable: the trees
+    # rebind keys in scope, leave binders unused and bind a box's last free
+    # variable, so binders share no slot with each other or a free variable.
     ast = _resolve(tree, [new_var(mk, _NAMES[i]) for i in sorted(roots)])
+    names = {k: v.name for k, v in _ast_free(ast).items()}
+    args = itertools.count()
 
-    def walk(ast, value, shown):
+    def walk(ast, value, shown, vals):
         tag = ast[0]
-        if tag == "pair":
-            walk(ast[1], value[1], shown)
-            walk(ast[2], value[2], shown)
-        elif tag == "bind":
+        if tag == "var":
+            assert value == vals.get(ast[1].key, ast)
+        elif tag == "lit":
+            assert value == ast
+        elif tag == "pair":
+            walk(ast[1], value[1], shown, vals)
+            walk(ast[2], value[2], shown, vals)
+        else:
             x, body = ast[1], ast[2]
             free = _ast_free(body)
             taken = {shown[k] for k in free if k != x.key}
             want = least_free_name(x.name.rstrip("0123456789"), taken)
             assert isinstance(value, Binder) and value.name == want
-            walk(body, subst(value, ("lit",)), {**shown, x.key: want} if x.key in free else shown)
+            arg = ("arg", next(args))
+            shown = {**shown, x.key: want} if x.key in free else shown
+            walk(body, subst(value, arg), shown, {**vals, x.key: arg})
 
-    walk(ast, unbox(_ast_box(ast)), {k: v.name for k, v in _ast_free(ast).items()})
+    for debug in (False, True):
+        with debug_set(debug):
+            walk(ast, unbox(_ast_box(ast)), names, {})
 
 
 # --- two-phase discipline ----------------------------------------------------------
@@ -584,35 +597,28 @@ def test_seal_on_another_thread_during_substitution(debug_mode):
     assert not other.is_alive() and sealed.is_set()
 
 
-def test_slot_collision_fails_at_seal_time():
-    # an inner binder that claims no bound slots puts y in slot 0, the slot
-    # that binding x takes next: y's binder overwrites x's value
-    x, y = new_var(mk, "x"), new_var(mk, "y")
-    pair = lambda p: lambda q: ("pair", p, q)
-    inner = bind_var(y, apply_box(apply_box(box(pair), box_var(x)), box_var(y)))
-    assert isinstance(inner, Open) and inner.bound == 1
-    forged = Open(inner.vars, 0, inner.closure)
-    collision = f"slot 0 owned by key {y.key}, read as key {x.key}$"
-    with debug_set(True), pytest.raises(BindDebugError, match=collision):
-        unbox(bind_var(x, forged))
-    with debug_set(False):
-        assert subst(subst(unbox(bind_var(x, forged)), "a"), "b") == ("pair", "b", "b")
-
-
 def test_fast_path_environment_is_a_plain_list():
-    # in either mode: the mode decides only what a seal checks
-    x, y = new_var(mk, "x"), new_var(mk, "y")
+    # in either mode, a body sees a plain list with one entry per free
+    # variable and one per enclosing binder whose variable occurs: the mode
+    # decides only what a seal checks
+    x, y, z, w = (new_var(mk, n) for n in "xyzw")
     # a body over x and y whose evaluation reports the environment's type
-    probe = Open((x, y), 0, lambda vp: lambda env: type(env))
+    # and length, beside a binder of w whose slot is not in scope there
+    probe = Open((x, y), lambda vp: lambda env: (type(env), len(env)))
+    side = bind_var(w, box_apply2(lambda p, q: p, box_var(w), box_var(y)))
+    body = box_apply2(lambda s, p: p, side, probe)
     for debug in (False, True):
         with debug_set(debug):
-            assert unbox(probe) is list
-            # x bound beside y (slot copied per substitution), then y last
-            # (sealed)
-            inner = bind_var(x, probe)
-            assert subst(unbox(inner), "a") is list
-            outer = unbox(bind_var(y, inner))
-            assert subst(subst(outer, "b"), "a") is list
+            assert unbox(body) == (list, 2)
+            # x bound beside y (slot copied per substitution)
+            inner = bind_var(x, body)
+            assert subst(unbox(inner), "a") == (list, 2)
+            # z bound around it but absent from it: no slot
+            skip = bind_var(z, inner)
+            assert subst(subst(unbox(skip), "c"), "a") == (list, 2)
+            # then y last (sealed)
+            outer = unbox(bind_var(y, skip))
+            assert subst(subst(subst(outer, "b"), "c"), "a") == (list, 2)
 
 
 def test_debug_mode_is_read_at_seal_time():

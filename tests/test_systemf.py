@@ -107,8 +107,7 @@ def test_lift_ty_base_case():
     x = new_var(TyVar, "X")
     b = lift_ty(TyVar(x))
     assert isinstance(b, Open)
-    assert b.vars == (x,)
-    assert b.bound == 0
+    assert box_vars(b) == (x,)
     a = unbox(b)
     assert isinstance(a, TyVar) and a.var is x
 
