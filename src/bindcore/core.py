@@ -83,16 +83,7 @@ class BindDebugError(RuntimeError):
 # --- debug instrumentation -------------------------------------------------
 
 _debug = bool(os.environ.get("BINDCORE_DEBUG"))
-
-
-class _Stats:
-    __slots__ = ("lookups",)
-
-    def __init__(self) -> None:
-        self.lookups = 0
-
-
-_stats = _Stats()
+_lookups = 0  # key-to-slot lookups made in debug mode
 
 
 class _Substituting(threading.local):
@@ -121,7 +112,7 @@ def debug_enabled() -> bool:
 
 def phase1_lookup_count() -> int:
     """Total key-to-slot lookups performed so far (debug mode only)."""
-    return _stats.lookups
+    return _lookups
 
 
 # --- environments ----------------------------------------------------------
@@ -222,9 +213,10 @@ def new_var(mkfree: Callable[[Var[T]], T], name: str) -> Var[T]:
     key = next(_keys)
 
     def phase1(vp: _Seal, _key=key) -> Callable[[list], T]:
+        global _lookups
         slot = vp[_key][0]
         if vp.debug:  # count the lookup and check that no substitution runs
-            _stats.lookups += 1
+            _lookups += 1
             if _substituting.on:
                 raise BindDebugError(f"slot lookup of key {_key} during substitution")
         # a default, not a closure cell: a sealed value keeps one per occurrence
@@ -255,37 +247,35 @@ _key = attrgetter("key")
 
 
 def _merge_vars(a: tuple[Var, ...], b: tuple[Var, ...]) -> tuple[Var, ...]:
-    # key-sorted union of two sorted, non-empty variable tuples; short pairs,
-    # most of nf's readback, are fastest in the plain loop at the end
+    # key-sorted union of two sorted, non-empty variable tuples
     la, lb = len(a), len(b)
-    if la > 3 or lb > 3:
-        if a[-1].key < b[0].key:
-            return a + b
-        if b[-1].key < a[0].key:
-            return b + a
-        if la > lb:
-            a, b, la, lb = b, a, lb, la
-        if la == 1:
-            k = a[0].key
-            i = bisect_left(b, k, key=_key)
-            if i < lb and b[i].key == k:
-                return b
-            return b[:i] + a + b[i:]
-        if 8 * la <= lb:
-            # place each variable of the much shorter a into b by bisection,
-            # and copy the runs of b between them as slices
-            out: list[Var] = []
-            lo = 0
-            for v in a:
-                k = v.key
-                i = bisect_left(b, k, lo, key=_key)
-                out += b[lo:i]
-                if i == lb or b[i].key != k:
-                    out.append(v)
-                lo = i
-            out += b[lo:]
-            return tuple(out)
-    # short sides, or sides of like length: one pass over both
+    if a[-1].key < b[0].key:
+        return a + b
+    if b[-1].key < a[0].key:
+        return b + a
+    if la > lb:
+        a, b, la, lb = b, a, lb, la
+    if la == 1:
+        k = a[0].key
+        i = bisect_left(b, k, key=_key)
+        if i < lb and b[i].key == k:
+            return b
+        return b[:i] + a + b[i:]
+    if 8 * la <= lb:
+        # place each variable of the much shorter a into b by bisection,
+        # and copy the runs of b between them as slices
+        out: list[Var] = []
+        lo = 0
+        for v in a:
+            k = v.key
+            i = bisect_left(b, k, lo, key=_key)
+            out += b[lo:i]
+            if i == lb or b[i].key != k:
+                out.append(v)
+            lo = i
+        out += b[lo:]
+        return tuple(out)
+    # sides of like length: one pass over both
     out = []
     i = j = 0
     while i < la and j < lb:

@@ -13,6 +13,10 @@ bound by an enclosing binder resolve lexically; in scripts the remaining
 identifiers must name an earlier definition, which is inlined at the use
 site.  Anything else is an unbound-identifier error.
 
+A token's kind is its canonical spelling: `fun` and `λ` are both of kind
+`λ`, and `=>` and `⇒` of kind `⇒`.  A message names an expected symbol by
+its kind and shows the token found as it was written.
+
 Parsing takes one pass: the parser reads tokens as they are lexed and
 builds each statement in a box as it goes.  A bad character anywhere in the
 text is reported before any other parse error: on an error the parser
@@ -99,30 +103,20 @@ Script = list
 
 # --- lexer -------------------------------------------------------------------
 
-_KEYWORDS = {
+# A token is a (kind, text, line, col) tuple.  `_KINDS` maps a keyword to
+# itself and an ASCII spelling to its unicode twin's; a symbol not in it is
+# its own kind, any other word is an "ident" and the end of the text "eof".
+_Token = tuple[str, str, int, int]
+
+_KINDS = {
     "def": "def",
     "assert": "assert",
     "eval": "eval",
     "print": "print",
-    "fun": "lam",
-    "Lam": "tlam",
-    "all": "forall",
-}
-
-_SYMBOLS = {
-    "λ": "lam",
-    "Λ": "tlam",
-    "∀": "forall",
-    "⇒": "arrow",
-    "=>": "arrow",
-    "=": "equal",
-    "(": "lparen",
-    ")": "rparen",
-    "[": "lbracket",
-    "]": "rbracket",
-    ":": "colon",
-    ".": "dot",
-    ";": "semi",
+    "fun": "λ",
+    "Lam": "Λ",
+    "all": "∀",
+    "=>": "⇒",
 }
 
 # One alternative per kind of lexeme, tried in order: group 1 a newline,
@@ -131,31 +125,23 @@ _SYMBOLS = {
 _TOKEN = re.compile(r"(\n)|[ \t\r]+|(=>|[=λΛ∀⇒()\[\]:.;])|([A-Za-z_][A-Za-z0-9_]*)|(.)")
 
 
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
 def _lex(text: str) -> Iterator[_Token]:
     # a column is an offset from the start of its line, counted from 1
     line, start = 1, 0
     for m in _TOKEN.finditer(text):
-        newline, symbol, word, other = m.groups()
-        col = m.start() - start + 1
-        if newline:
+        group = m.lastindex
+        if group == 2:
+            symbol = m[2]
+            yield _KINDS.get(symbol, symbol), symbol, line, m.start() - start + 1
+        elif group == 3:
+            word = m[3]
+            yield _KINDS.get(word, "ident"), word, line, m.start() - start + 1
+        elif group == 1:
             line, start = line + 1, m.end()
-        elif symbol:
-            yield _Token(_SYMBOLS[symbol], symbol, line, col)
-        elif word:
-            yield _Token(_KEYWORDS.get(word, "ident"), word, line, col)
-        elif other:
-            raise ParseError(
-                "syntax-error", f"unexpected character {other!r}", line, col
-            )
-    yield _Token("eof", "", line, len(text) - start + 1)
+        elif group == 4:
+            message = f"unexpected character {m[4]!r}"
+            raise ParseError("syntax-error", message, line, m.start() - start + 1)
+    yield "eof", "", line, len(text) - start + 1
 
 
 # --- parser ------------------------------------------------------------------
@@ -200,9 +186,10 @@ class _Parser:
         self.tok = next(self.tokens, tok)  # eof repeats
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        if self.tok.kind != kind:
-            self.fail(f"expected {what}")
+    def expect(self, kind: str, what: Optional[str] = None) -> _Token:
+        # a symbol is described by its kind, anything else by `what`
+        if self.tok[0] != kind:
+            self.fail(f"expected {what or repr(kind)}")
         return self.next()
 
     def error(self, code: str, message: str, tok: _Token) -> NoReturn:
@@ -210,44 +197,43 @@ class _Parser:
         # the lexer raises its error
         for _ in self.tokens:
             pass
-        raise ParseError(code, message, tok.line, tok.col)
+        raise ParseError(code, message, tok[2], tok[3])
 
     def fail(self, message: str) -> NoReturn:
-        tok = self.tok
-        shown = tok.text if tok.kind != "eof" else "end of input"
-        self.error("syntax-error", f"{message}, found {shown}", tok)
+        kind, text = self.tok[:2]
+        shown = text if kind != "eof" else "end of input"
+        self.error("syntax-error", f"{message}, found {shown}", self.tok)
 
     def lookup(self, scope: _Scope, tok: _Token) -> BoxVal:
-        b = scope.get(tok.text)
+        b = scope.get(tok[1])
         if b is None:
-            self.error("unbound-identifier", f"unbound identifier {tok.text!r}", tok)
+            self.error("unbound-identifier", f"unbound identifier {tok[1]!r}", tok)
         return b
 
     # types
 
     def type_(self) -> BoxVal[Ty]:
-        tok = self.tok
-        if tok.kind == "ident":
+        kind = self.tok[0]
+        if kind == "ident":
+            return self.lookup(self.ty_scope, self.next())
+        if kind == "∀":
             self.next()
-            return self.lookup(self.ty_scope, tok)
-        if tok.kind == "forall":
-            self.next()
-            name = self.expect("ident", "a type variable").text
-            self.expect("dot", "'.'")
+            name = self.expect("ident", "a type variable")[1]
+            self.expect(".")
             x = new_var(TyVar, name)
             old, self.ty_scope[name] = self.ty_scope.get(name), box_var(x)
             body = self.type_()
             self.ty_scope[name] = old
             return _TyAll(bind_var(x, body))
-        if tok.kind == "lparen":
+        if kind == "(":
             self.next()
             a = self.type_()
-            if self.tok.kind == "arrow":
+            if self.tok[0] == "⇒":
                 self.next()
                 b = self.type_()
-                self.expect("rparen", "')'")
+                self.expect(")")
                 return _TyArr(a, b)
-            if self.tok.kind == "rparen":
+            if self.tok[0] == ")":
                 self.next()
                 return a
             self.fail("expected '⇒' or ')'")
@@ -256,44 +242,43 @@ class _Parser:
     # terms
 
     def term(self) -> BoxVal[Te]:
-        tok = self.tok
-        if tok.kind == "ident":
+        kind = self.tok[0]
+        if kind == "ident":
+            return self.lookup(self.te_scope, self.next())
+        if kind == "λ":
             self.next()
-            return self.lookup(self.te_scope, tok)
-        if tok.kind == "lam":
-            self.next()
-            name = self.expect("ident", "a variable").text
-            self.expect("colon", "':'")
+            name = self.expect("ident", "a variable")[1]
+            self.expect(":")
             a = self.type_()
-            self.expect("dot", "'.'")
+            self.expect(".")
             x = new_var(TeVar, name)
             old, self.te_scope[name] = self.te_scope.get(name), box_var(x)
             body = self.term()
             self.te_scope[name] = old
             return _TeAbs(a, bind_var(x, body))
-        if tok.kind == "tlam":
+        if kind == "Λ":
             self.next()
-            name = self.expect("ident", "a type variable").text
-            self.expect("dot", "'.'")
+            name = self.expect("ident", "a type variable")[1]
+            self.expect(".")
             x = new_var(TyVar, name)
             old, self.ty_scope[name] = self.ty_scope.get(name), box_var(x)
             body = self.term()
             self.ty_scope[name] = old
             return _TeLam(bind_var(x, body))
-        if tok.kind == "lparen":
+        if kind == "(":
             self.next()
             t = self.term()
-            if self.tok.kind == "lbracket":
+            if self.tok[0] == "[":
                 self.next()
                 a = self.type_()
-                self.expect("rbracket", "']'")
-                self.expect("rparen", "')'")
+                self.expect("]")
+                self.expect(")")
                 return _TeSpe(t, a)
-            if self.tok.kind == "rparen":
+            if self.tok[0] == ")":
                 self.next()
                 return t
             u = self.term()
-            self.expect("rparen", "')'")
+            self.expect(")")
             return _TeApp(t, u)
         self.fail("expected a term")
 
@@ -301,36 +286,36 @@ class _Parser:
 
     def script(self) -> Script:
         stmts: list[Stmt] = []
-        while self.tok.kind != "eof":
+        while self.tok[0] != "eof":
             stmts.append(self.stmt())
         return stmts
 
     def stmt(self) -> Stmt:
-        tok = self.tok
-        if tok.kind == "def":
+        kind, _, line, col = self.tok
+        if kind == "def":
             self.next()
-            name = self.expect("ident", "a definition name").text
+            name = self.expect("ident", "a definition name")[1]
             annot: Optional[Ty] = None
-            if self.tok.kind == "colon":
+            if self.tok[0] == ":":
                 self.next()
                 annot = unbox(self.type_())
-            self.expect("equal", "'='")
+            self.expect("=")
             te = unbox(self.term())
-            self.expect("semi", "';'")
+            self.expect(";")
             self.te_scope[name] = box(te)  # definitions are closed
-            return Def(name, annot, te, tok.line, tok.col)
-        if tok.kind == "assert":
+            return Def(name, annot, te, line, col)
+        if kind == "assert":
             self.next()
             te = unbox(self.term())
-            self.expect("colon", "':'")
+            self.expect(":")
             ty = unbox(self.type_())
-            self.expect("semi", "';'")
-            return AssertType(te, ty, tok.line, tok.col)
-        if tok.kind in ("eval", "print"):
+            self.expect(";")
+            return AssertType(te, ty, line, col)
+        if kind in ("eval", "print"):
             self.next()
             te = unbox(self.term())
-            self.expect("semi", "';'")
-            return (Eval if tok.kind == "eval" else Print)(te, tok.line, tok.col)
+            self.expect(";")
+            return (Eval if kind == "eval" else Print)(te, line, col)
         self.fail("expected a statement (def, assert, eval, print)")
 
 

@@ -106,11 +106,100 @@ def test_syntax_error_position():
             "eval missing;\n  %\n",
             ("syntax-error", "unexpected character '%'", 2, 3),
         ),
+        # every other message, once for each spelling of a token that has
+        # two; a keyword where an identifier belongs shows as written
+        ("print ΛX x;", ("syntax-error", "expected '.', found x", 1, 10)),
+        ("print Lam X x;", ("syntax-error", "expected '.', found x", 1, 13)),
+        ("assert ΛX.λx:X.x : ∀X X;", ("syntax-error", "expected '.', found X", 1, 23)),
+        (
+            "assert Lam X.fun x:X.x : all X X;",
+            ("syntax-error", "expected '.', found X", 1, 32),
+        ),
+        ("print λx.x;", ("syntax-error", "expected ':', found .", 1, 9)),
+        ("print fun x.x;", ("syntax-error", "expected ':', found .", 1, 12)),
+        ("assert ΛX.λx:X.x;", ("syntax-error", "expected ':', found ;", 1, 17)),
+        (
+            "assert ΛX.λx:X.x : ∀X.(X ⇒ X ⇒ X);",
+            ("syntax-error", "expected ')', found ⇒", 1, 30),
+        ),
+        (
+            "assert Lam X.fun x:X.x : all X.(X => X => X);",
+            ("syntax-error", "expected ')', found =>", 1, 40),
+        ),
+        (
+            "print (ΛX.λx:X.x ΛX.λx:X.x;",
+            ("syntax-error", "expected ')', found ;", 1, 27),
+        ),
+        ("print (ΛX.λx:X.x [∀X.X);", ("syntax-error", "expected ']', found )", 1, 23)),
+        ("def id ΛX.λx:X.x;", ("syntax-error", "expected '=', found Λ", 1, 8)),
+        ("def id Lam X.fun x:X.x;", ("syntax-error", "expected '=', found Lam", 1, 8)),
+        (
+            "assert ΛX.λx:X.x : ∀X.(X X);",
+            ("syntax-error", "expected '⇒' or ')', found X", 1, 26),
+        ),
+        ("print λx:.x;", ("syntax-error", "expected a type, found .", 1, 10)),
+        (
+            "x;",
+            (
+                "syntax-error",
+                "expected a statement (def, assert, eval, print), found x",
+                1,
+                1,
+            ),
+        ),
+        (
+            "λx:X.x;",
+            (
+                "syntax-error",
+                "expected a statement (def, assert, eval, print), found λ",
+                1,
+                1,
+            ),
+        ),
+        (
+            "fun x:X.x;",
+            (
+                "syntax-error",
+                "expected a statement (def, assert, eval, print), found fun",
+                1,
+                1,
+            ),
+        ),
+        ("print λfun:A.x;", ("syntax-error", "expected a variable, found fun", 1, 8)),
+        (
+            "print fun Lam:A.x;",
+            ("syntax-error", "expected a variable, found Lam", 1, 11),
+        ),
+        ("print Λ.x;", ("syntax-error", "expected a type variable, found .", 1, 8)),
+        (
+            "print Lam fun.x;",
+            ("syntax-error", "expected a type variable, found fun", 1, 11),
+        ),
+        ("print λx:∀.x;", ("syntax-error", "expected a type variable, found .", 1, 11)),
+        (
+            "print λx:all Lam.x;",
+            ("syntax-error", "expected a type variable, found Lam", 1, 14),
+        ),
+        ("def = x;", ("syntax-error", "expected a definition name, found =", 1, 5)),
+        (
+            "def print = x;",
+            ("syntax-error", "expected a definition name, found print", 1, 5),
+        ),
+        # a (parser, text) pair parses with another entry point
+        (
+            (parse_term, "ΛX.λx:X.x ΛY.y"),
+            ("syntax-error", "expected end of input, found Λ", 1, 11),
+        ),
+        (
+            (parse_type, "all X.X =>"),
+            ("syntax-error", "expected end of input, found =>", 1, 9),
+        ),
     ],
 )
 def test_lexer_positions(src, expected):
+    parse, text = src if isinstance(src, tuple) else (parse_script, src)
     with pytest.raises(ParseError) as e:
-        parse_script(src)
+        parse(text)
     assert (e.value.code, e.value.message, e.value.line, e.value.col) == expected
 
 
