@@ -10,6 +10,10 @@ takes the next one for its body.  The substitution function stored in a binder i
 closure, which only performs slot-indexed reads and constant work per node.
 No name or key is ever consulted during substitution, so capture cannot
 arise and substitution stays cheap no matter how often the binder is applied.
+The phase two of a variable occurrence is its slot's reader, which every
+occurrence of that slot shares, and no phase-two closure keeps a closure
+cell: captures are bound as defaults.  So a sealed value keeps one function
+and its defaults per application node.
 
 Binder names are chosen in phase one too, outermost first: a binder keeps
 its variable's name without the trailing digits and takes the smallest
@@ -36,7 +40,8 @@ import os
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import partial
+from operator import attrgetter, itemgetter
 from typing import Callable, Collection, Generic, TypeVar, Union
 
 T = TypeVar("T")
@@ -120,12 +125,26 @@ def phase1_lookup_count() -> int:
 # An environment is a plain list with one entry per slot in scope: the
 # sealed box's free variables, in key order, then the value of each enclosing
 # binder whose variable occurs, outermost first.  A substitution appends its
-# value in a copy.
+# value in a copy.  Every occurrence of a slot, in any seal, reads it with
+# that slot's one reader, `_readers[slot]`.
 
 
 # --- variables and boxes ---------------------------------------------------
 
-_keys = itertools.count()  # atomic under CPython; sole shared mutable state
+# Shared by all threads, and safe to use from any of them:
+_keys = itertools.count()  # atomic under CPython
+
+
+class _Readers(dict):
+    # slot to its reader, `env[slot]`: every occurrence of a slot in every
+    # seal shares one.  `setdefault` is atomic under the GIL, so threads that
+    # miss the same slot at once all get the reader stored first.  It grows
+    # to the deepest slot any seal has used, about 120 bytes a slot.
+    def __missing__(self, slot: int) -> Callable[[list], object]:
+        return self.setdefault(slot, itemgetter(slot))
+
+
+_readers = _Readers()
 
 
 @dataclass(eq=False, slots=True)
@@ -136,7 +155,8 @@ class Var(Generic[T]):
     the variable keeps the name without its trailing digits and picks the
     smallest free suffix (see `bind_var`).  `mkfree` injects the variable
     into its syntax type; `phase1` is the phase one of its boxed form,
-    shared by every `box_var` of it.
+    shared by every `box_var` of it: it looks up the variable's slot in the
+    seal's table and returns the slot's shared reader, `env[slot]`.
     """
 
     key: int
@@ -219,8 +239,7 @@ def new_var(mkfree: Callable[[Var[T]], T], name: str) -> Var[T]:
             _lookups += 1
             if _substituting.on:
                 raise BindDebugError(f"slot lookup of key {_key} during substitution")
-        # a default, not a closure cell: a sealed value keeps one per occurrence
-        return lambda env, slot=slot: env[slot]
+        return _readers[slot]
 
     return Var(key, name, mkfree, phase1)
 
@@ -307,33 +326,27 @@ def box_apply2(f: Callable[[A, B], C], a: BoxVal[A], b: BoxVal[B]) -> BoxVal[C]:
     This is the one application primitive: `apply_box` and `box_apply` are
     instances of it.
     """
-    # A sealed value keeps one phase-two closure per node, so these bind
-    # their captures as defaults: a defaults tuple is smaller than the closure
-    # cells it replaces.
+    # A box keeps one phase-one closure per node and a sealed value one
+    # phase-two closure, so both bind their captures as defaults: a defaults
+    # tuple is smaller than the closure cells it replaces.
     if isinstance(a, Closed):
         if isinstance(b, Closed):
             return Closed(f(a.value, b.value))
-        av = a.value
-        bcl = b.closure
 
-        def phase1_r(vp):
+        def phase1_r(vp, f=f, av=a.value, bcl=b.closure):
             b2 = bcl(vp)
             return lambda env, f=f, av=av, b2=b2: f(av, b2(env))
 
         return Open(b.vars, phase1_r)
     if isinstance(b, Closed):
-        bv = b.value
-        acl = a.closure
 
-        def phase1_l(vp):
+        def phase1_l(vp, f=f, acl=a.closure, bv=b.value):
             a2 = acl(vp)
             return lambda env, f=f, a2=a2, bv=bv: f(a2(env), bv)
 
         return Open(a.vars, phase1_l)
-    acl = a.closure
-    bcl = b.closure
 
-    def phase1(vp):
+    def phase1(vp, f=f, acl=a.closure, bcl=b.closure):
         a2 = acl(vp)
         b2 = bcl(vp)
         return lambda env, f=f, a2=a2, b2=b2: f(a2(env), b2(env))
@@ -401,7 +414,9 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
     prefix = x.name.rstrip("0123456789")
     if isinstance(b, Closed):
         v = b.value
-        return Closed(Binder(_binder_name(prefix, ())[0], False, 0, mkfree, lambda _a: v))
+        return Closed(
+            Binder(_binder_name(prefix, ())[0], False, 0, mkfree, lambda _a, v=v: v)
+        )
     vs = b.vars
     cl = b.closure
     key = x.key
@@ -417,9 +432,9 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
                 name = _binder_name(prefix, {vp[v.key][1] for v in vs})[0]
             body2 = cl(vp)
 
-            def phase2(env):
+            def phase2(env, name=name, body2=body2, rank=rank, mkfree=mkfree):
                 v = body2(env)
-                return Binder(name, False, rank, mkfree, lambda _a: v)
+                return Binder(name, False, rank, mkfree, lambda _a, v=v: v)
 
             return phase2
 
@@ -463,11 +478,8 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
             shown[outer[1]] = shown.get(outer[1], 0) + 1
         low[prefix] = back
 
-        def phase2(env):
-            def value(a):
-                return body([*env, a])
-
-            return Binder(name, True, rank, mkfree, value)
+        def phase2(env, name=name, body=body, rank=rank, mkfree=mkfree):
+            return Binder(name, True, rank, mkfree, partial(_extend, body, env))
 
         return phase2
 
@@ -476,6 +488,11 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
         # sealed at once
         return Closed(unbox(Open(rest, phase1)))
     return Open(rest, phase1)
+
+
+def _extend(body: Callable[[list], B], env: list, a: object) -> B:
+    # a binder's substitution: its body in the environment with `a` appended
+    return body([*env, a])
 
 
 def unbox(b: BoxVal[T]) -> T:

@@ -145,9 +145,9 @@ def test_cli_debug_reports_the_runs_own_count(tmp_path, capsys):
     for _ in range(2):
         assert main(["--debug", str(path)]) == 0
         lines.append(capsys.readouterr().err)
-    assert lines[0].startswith("phase1 lookups: ")
-    assert lines[0] != "phase1 lookups: 0\n"
-    assert lines[1] == lines[0]
+    # pinned: a change to how values are sealed must not change how many
+    # key-to-slot lookups phase one makes on GOLDEN
+    assert lines == ["phase1 lookups: 18\n"] * 2
 
 
 def test_cli_closed_pipe_ends_quietly(tmp_path):

@@ -1,6 +1,8 @@
 import itertools
 import random
+import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,7 +34,9 @@ from bindcore import (
     unbind2,
     unbox,
 )
-from bindcore.core import _index_of, _merge_vars
+from bindcore._stack import call_with_deep_stack
+from bindcore.core import _index_of, _merge_vars, _readers
+from bindcore.systemf import TeVar, _TeApp
 from conftest import debug_set
 from gen import leaf_free, least_free_name, random_box, var_pool
 
@@ -621,6 +625,65 @@ def test_fast_path_environment_is_a_plain_list():
             assert subst(subst(subst(outer, "b"), "c"), "a") == (list, 2)
 
 
+def _reader_probe(*occurrences):
+    # a box over the variables of `occurrences` whose value is the reader
+    # that phase one gave each occurrence
+    vs = tuple(sorted({v.key: v for v in occurrences}.values(), key=lambda v: v.key))
+
+    def phase1(vp):
+        readers = tuple(v.phase1(vp) for v in occurrences)
+        return lambda env: readers
+
+    return Open(vs, phase1)
+
+
+def test_occurrences_of_a_slot_share_one_reader():
+    x, y = new_var(mk, "x"), new_var(mk, "y")
+    for debug in (False, True):
+        with debug_set(debug):
+            # two occurrences of x in one seal (slot 0), beside y (slot 1)
+            r0, r0_again, r1 = unbox(_reader_probe(x, x, y))
+            assert r0 is r0_again and r0 is not r1
+            assert (r0(["a", "b"]), r1(["a", "b"])) == ("a", "b")
+            # slot 0 in two more seals, of x and of y
+            assert unbox(_reader_probe(x))[0] is r0
+            assert unbox(_reader_probe(y))[0] is r0
+            # y free in slot 0, and x's binder takes slot 1
+            binder = unbox(bind_var(x, _reader_probe(x, y, x)))
+            rx, ry, rx_again = subst(binder, "a")
+            assert rx is rx_again is r1 and ry is r0
+
+
+def test_sealed_spine_footprint():
+    # a sealed node keeps its phase-two closure and that closure's defaults
+    # and nothing else: each variable occurrence shares its slot's reader,
+    # and no phase-two closure keeps a cell.  Blocks, not bytes, so that the
+    # bound holds on every supported Python, whose function objects differ
+    # in size.  tracemalloc walks the whole stack on each allocation, and
+    # sealing recurses once per node, so a longer spine costs quadratic time.
+    n = 5_000
+    s, z = new_var(TeVar, "s"), new_var(TeVar, "z")
+
+    def blocks_kept_by_the_seal():
+        spine = box_var(z)
+        for _ in range(n):
+            spine = _TeApp(box_var(s), spine)
+        inner = bind_var(z, spine)
+        tracemalloc.start()
+        try:
+            value = bind_var(s, inner)  # s is the last free variable: sealed
+            stats = tracemalloc.take_snapshot().statistics("filename")
+        finally:
+            tracemalloc.stop()
+        assert is_closed(value)
+        return sum(stat.count for stat in stats)
+
+    for debug in (False, True):
+        with debug_set(debug):
+            blocks = call_with_deep_stack(blocks_kept_by_the_seal)
+        assert blocks <= 2.5 * n, (debug, blocks / n)
+
+
 def test_debug_mode_is_read_at_seal_time():
     x, y = new_var(mk, "x"), new_var(mk, "y")
     pair = lambda p: lambda q: ("pair", p, q)
@@ -716,3 +779,36 @@ def test_key_generation_thread_safe():
         th.join()
     keys = [k for chunk in results for k in chunk]
     assert len(set(keys)) == len(keys)
+
+
+def test_readers_thread_safe():
+    # fresh slots, far above any depth a seal reaches in these tests, asked
+    # for by eight threads at once: each slot gets one reader, env[slot]
+    slots = range(10**9, 10**9 + 2_000)
+    start = threading.Barrier(8)
+    results = []
+
+    def worker():
+        start.wait()
+        results.append([_readers[slot] for slot in slots])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+    finally:
+        sys.setswitchinterval(interval)
+
+    class Env:
+        def __getitem__(self, slot):
+            return ("entry", slot)
+
+    assert len(results) == 8
+    for i, slot in enumerate(slots):
+        reader = results[0][i]
+        assert all(chunk[i] is reader for chunk in results)
+        assert reader(Env()) == ("entry", slot)
