@@ -7,64 +7,5 @@ The core API lives here: variables (`new_var`), boxes (`box`, `box_var`,
 top; `systemf.update_names` recomputes the binder names of a term.
 """
 
-from .core import (
-    BindDebugError,
-    Binder,
-    BoxVal,
-    Closed,
-    Open,
-    Var,
-    apply_box,
-    bind_var,
-    binder_info,
-    box,
-    box_apply,
-    box_apply2,
-    box_binder,
-    box_var,
-    box_vars,
-    debug_enabled,
-    enable_debug,
-    eq_binder,
-    eq_vars,
-    is_closed,
-    name_of,
-    new_var,
-    occur,
-    phase1_lookup_count,
-    subst,
-    unbind,
-    unbind2,
-    unbox,
-)
-
-__all__ = [
-    "BindDebugError",
-    "Binder",
-    "BoxVal",
-    "Closed",
-    "Open",
-    "Var",
-    "apply_box",
-    "bind_var",
-    "binder_info",
-    "box",
-    "box_binder",
-    "box_apply",
-    "box_apply2",
-    "box_var",
-    "box_vars",
-    "debug_enabled",
-    "enable_debug",
-    "eq_binder",
-    "eq_vars",
-    "is_closed",
-    "name_of",
-    "new_var",
-    "occur",
-    "phase1_lookup_count",
-    "subst",
-    "unbind",
-    "unbind2",
-    "unbox",
-]
+from .core import *  # noqa: F403
+from .core import __all__

@@ -5,15 +5,16 @@ Binding a variable (`bind_var`) or sealing a box (`unbox`) runs *phase one*
 of every closure inside: each variable occurrence resolves its key to an
 environment slot index exactly once.  Slots are levels within the seal: the
 free variables take the first ones, and each binder whose variable occurs
-takes the next one for its body.  The substitution function stored in a binder is pure
-*phase two*: it appends its value to the environment and re-runs the body
-closure, which only performs slot-indexed reads and constant work per node.
-No name or key is ever consulted during substitution, so capture cannot
-arise and substitution stays cheap no matter how often the binder is applied.
-The phase two of a variable occurrence is its slot's reader, which every
-occurrence of that slot shares, and no phase-two closure keeps a closure
-cell: captures are bound as defaults.  So a sealed value keeps one function
-and its defaults per application node.
+takes the next one for its body.  The substitution function stored in a
+binder is pure *phase two*: it appends its value to the environment and
+re-runs the body closure, which only performs slot-indexed reads and
+constant work per node.  No name or key is ever consulted during
+substitution, so capture cannot arise and substitution stays cheap no
+matter how often the binder is applied.  The phase two of a variable
+occurrence is its slot's reader, which every occurrence of that slot
+shares, and no phase-two closure keeps a closure cell: captures are bound
+as defaults.  So a sealed value keeps one function and its defaults per
+application node.
 
 Binder names are chosen in phase one too, outermost first: a binder keeps
 its variable's name without the trailing digits and takes the smallest
@@ -399,16 +400,17 @@ def _unshow(shown: dict[str, int], name: str) -> None:
 def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
     """Bind a variable in a box, producing a boxed binder.
 
-    The binder's name is chosen when the box is sealed, once the names of
-    the variables left free in the body are final, so that it clashes with
-    none of them.  When the body's free variables are every entry of the
-    seal's table (`len(rest) == len(vp)`, since `rest` is a subset), the
-    name comes from the seal's name tables in amortised constant time, as
-    in a telescope; otherwise it costs the number of those variables.  A
-    binder whose variable occurs takes the seal's next slot; it updates the
-    tables and the depth for its body and restores them after it, as it
-    does its own entry.  Binding a box's last free variable leaves
-    nothing open, so that binder is sealed by `unbox` at once.
+    Every open box gets one phase one.  It names the binder once the names
+    of the variables left free in the body are final, so that it clashes
+    with none of them.  When the body's free variables are every entry of
+    the seal's table (`len(rest) == len(vp)`, since `rest` is a subset),
+    the name comes from the seal's name tables in amortised constant time,
+    as in a telescope; otherwise it costs the number of those variables.
+    An absent variable makes a constant binder.  An occurring one takes the
+    seal's next slot; it updates the tables and the depth for its body and
+    restores them after it, as it does its own entry.  Binding a box's
+    last free variable leaves nothing open, so that binder is sealed by
+    `unbox` at once.
     """
     mkfree = x.mkfree
     prefix = x.name.rstrip("0123456789")
@@ -418,45 +420,35 @@ def bind_var(x: Var[A], b: BoxVal[B]) -> BoxVal[Binder[A, B]]:
             Binder(_binder_name(prefix, ())[0], False, 0, mkfree, lambda _a, v=v: v)
         )
     vs = b.vars
-    cl = b.closure
     key = x.key
     idx = _index_of(vs, key)
-    if idx < 0:
-        # bound variable absent from the body: constant binder, still open
-        rank = len(vs)
+    occurs = idx >= 0
+    rest = vs[:idx] + vs[idx + 1:] if occurs else vs
 
-        def phase1_skip(vp):
-            if len(vs) == len(vp):
-                name = _binder_name(prefix, vp.shown, vp.low.get(prefix, 0))[0]
-            else:
-                name = _binder_name(prefix, {vp[v.key][1] for v in vs})[0]
-            body2 = cl(vp)
-
-            def phase2(env, name=name, body2=body2, rank=rank, mkfree=mkfree):
-                v = body2(env)
-                return Binder(name, False, rank, mkfree, lambda _a, v=v: v)
-
-            return phase2
-
-        return Open(vs, phase1_skip)
-    # x occurs in the body: it takes the seal's next slot
-    rest = vs[:idx] + vs[idx + 1:]
-    rank = len(rest)
-
-    def phase1(vp):
+    # captures are defaults, as in `box_apply2`'s phase one
+    def phase1(vp, prefix=prefix, key=key, occurs=occurs, rest=rest,
+               rank=len(rest), cl=b.closure, mkfree=mkfree):
         shown = vp.shown
         low = vp.low
         back = low.get(prefix, 0)
         if len(rest) == len(vp):
             # rest covers the table, so it shows the names in `shown`
             name, i = _binder_name(prefix, shown, back)
-            if i >= 0:
-                # suffixes up to i are shown in the body, and up to i - 1
-                # again once x's entry is gone
-                low[prefix] = i + 1
-                back = i
         else:
-            name = _binder_name(prefix, {vp[v.key][1] for v in rest})[0]
+            name, i = _binder_name(prefix, {vp[v.key][1] for v in rest})[0], -1
+        if not occurs:
+            body = cl(vp)
+
+            def phase2(env, name=name, body=body, rank=rank, mkfree=mkfree):
+                v = body(env)
+                return Binder(name, False, rank, mkfree, lambda _a, v=v: v)
+
+            return phase2
+        if i >= 0:
+            # suffixes up to i are shown in the body, and up to i - 1 again
+            # once x's entry is gone
+            low[prefix] = i + 1
+            back = i
         # the one table of this seal: enter x for the body, then restore the
         # entry of an outer x that shares the key, if any
         outer = vp.get(key)

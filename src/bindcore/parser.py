@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NoReturn, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Optional, Union
 
 from .core import BoxVal, Var, bind_var, box, box_var, name_of, new_var, unbox
 from .systemf import (
@@ -170,9 +170,9 @@ def _scope(free: Union[Mapping[str, Var], Iterable[Var], None]) -> _Scope:
 class _Parser:
     """Reads tokens as they are lexed, keeping only the current one.
 
-    A binder saves its name's scope entry, parses its body and restores
-    the entry.  An error ends the parse and the parser is thrown away, so
-    the restore needs no `finally`.
+    A binder (`binder`) saves its name's scope entry, parses its body and
+    restores the entry.  An error ends the parse and the parser is thrown
+    away, so the restore needs no `finally`.
     """
 
     def __init__(self, text: str, te_scope: _Scope, ty_scope: _Scope) -> None:
@@ -210,6 +210,18 @@ class _Parser:
             self.error("unbound-identifier", f"unbound identifier {tok[1]!r}", tok)
         return b
 
+    def binder(
+        self, scope: _Scope, mkfree: Callable, name: str, body: Callable
+    ) -> BoxVal:
+        # the dot and body of a binder: `name` stands for a fresh variable
+        # while `body(self)` parses the body (no bound method per binder)
+        self.expect(".")
+        x = new_var(mkfree, name)
+        old, scope[name] = scope.get(name), box_var(x)
+        b = body(self)
+        scope[name] = old
+        return bind_var(x, b)
+
     # types
 
     def type_(self) -> BoxVal[Ty]:
@@ -219,12 +231,7 @@ class _Parser:
         if kind == "∀":
             self.next()
             name = self.expect("ident", "a type variable")[1]
-            self.expect(".")
-            x = new_var(TyVar, name)
-            old, self.ty_scope[name] = self.ty_scope.get(name), box_var(x)
-            body = self.type_()
-            self.ty_scope[name] = old
-            return _TyAll(bind_var(x, body))
+            return _TyAll(self.binder(self.ty_scope, TyVar, name, _Parser.type_))
         if kind == "(":
             self.next()
             a = self.type_()
@@ -250,21 +257,11 @@ class _Parser:
             name = self.expect("ident", "a variable")[1]
             self.expect(":")
             a = self.type_()
-            self.expect(".")
-            x = new_var(TeVar, name)
-            old, self.te_scope[name] = self.te_scope.get(name), box_var(x)
-            body = self.term()
-            self.te_scope[name] = old
-            return _TeAbs(a, bind_var(x, body))
+            return _TeAbs(a, self.binder(self.te_scope, TeVar, name, _Parser.term))
         if kind == "Λ":
             self.next()
             name = self.expect("ident", "a type variable")[1]
-            self.expect(".")
-            x = new_var(TyVar, name)
-            old, self.ty_scope[name] = self.ty_scope.get(name), box_var(x)
-            body = self.term()
-            self.ty_scope[name] = old
-            return _TeLam(bind_var(x, body))
+            return _TeLam(self.binder(self.ty_scope, TyVar, name, _Parser.term))
         if kind == "(":
             self.next()
             t = self.term()

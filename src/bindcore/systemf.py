@@ -10,7 +10,8 @@ finished syntax used for pattern matching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import partial
+from typing import Callable, Optional, Union
 
 from .core import (
     Binder,
@@ -117,61 +118,46 @@ Te = Union[TeVar, TeAbs, TeApp, TeLam, TeSpe]
 
 _TyVar = box_var
 _TeVar = box_var
-
-
-def _TyArr(a: BoxVal[Ty], b: BoxVal[Ty]) -> BoxVal[Ty]:
-    return box_apply2(TyArr, a, b)
-
-
-def _TyAll(f: BoxVal[Binder[Ty, Ty]]) -> BoxVal[Ty]:
-    return box_apply(TyAll, f)
-
-
-def _TeAbs(a: BoxVal[Ty], f: BoxVal[Binder[Te, Te]]) -> BoxVal[Te]:
-    return box_apply2(TeAbs, a, f)
-
-
-def _TeApp(t: BoxVal[Te], u: BoxVal[Te]) -> BoxVal[Te]:
-    return box_apply2(TeApp, t, u)
-
-
-def _TeLam(f: BoxVal[Binder[Ty, Te]]) -> BoxVal[Te]:
-    return box_apply(TeLam, f)
-
-
-def _TeSpe(t: BoxVal[Te], a: BoxVal[Ty]) -> BoxVal[Te]:
-    return box_apply2(TeSpe, t, a)
+_TyArr = partial(box_apply2, TyArr)
+_TyAll = partial(box_apply, TyAll)
+_TeAbs = partial(box_apply2, TeAbs)
+_TeApp = partial(box_apply2, TeApp)
+_TeLam = partial(box_apply, TeLam)
+_TeSpe = partial(box_apply2, TeSpe)
 
 
 # --- lifting ---------------------------------------------------------------
 
 
+def _lift(v: Union[Ty, Te], body: Callable[[Te], BoxVal[Te]]) -> BoxVal:
+    # one walk over types and terms: re-box `v`, applying `body` to each
+    # term body it opens; a type's bodies are types and are lifted as such
+    tv = type(v)
+    if tv is TeApp:
+        return _TeApp(_lift(v.fn, body), _lift(v.arg, body))
+    if tv is TeVar or tv is TyVar:
+        return box_var(v.var)
+    if tv is TeAbs:
+        return _TeAbs(_lift(v.ty, body), box_binder(body, v.binder))
+    if tv is TeLam:
+        return _TeLam(box_binder(body, v.binder))
+    if tv is TeSpe:
+        return _TeSpe(_lift(v.fn, body), _lift(v.ty, body))
+    if tv is TyArr:
+        return _TyArr(_lift(v.dom, body), _lift(v.cod, body))
+    if tv is TyAll:
+        return _TyAll(box_binder(lift_ty, v.binder))
+    raise TypeError(f"not a type or term: {v!r}")
+
+
 def lift_ty(a: Ty) -> BoxVal[Ty]:
     """Re-open a finished type so its variables become bindable again."""
-    match a:
-        case TyVar(x):
-            return box_var(x)
-        case TyArr(dom, cod):
-            return _TyArr(lift_ty(dom), lift_ty(cod))
-        case TyAll(f):
-            return _TyAll(box_binder(lift_ty, f))
-    raise TypeError(f"not a type: {a!r}")
+    return _lift(a, lift_te)
 
 
 def lift_te(t: Te) -> BoxVal[Te]:
     """Re-open a finished term so its variables become bindable again."""
-    match t:
-        case TeVar(x):
-            return box_var(x)
-        case TeAbs(a, f):
-            return _TeAbs(lift_ty(a), box_binder(lift_te, f))
-        case TeApp(fn, arg):
-            return _TeApp(lift_te(fn), lift_te(arg))
-        case TeLam(f):
-            return _TeLam(box_binder(lift_te, f))
-        case TeSpe(fn, a):
-            return _TeSpe(lift_te(fn), lift_ty(a))
-    raise TypeError(f"not a term: {t!r}")
+    return _lift(t, lift_te)
 
 
 # --- normalization ---------------------------------------------------------
@@ -218,23 +204,16 @@ def _ev(t: Te, budget: list) -> Te:
     if tt is _Val:
         t.reached += 1
         if t.reached == 2:
-            t.v = unbox(_rb(t.v, budget))
+            t.v = unbox(_lift(t.v, partial(_rb, budget)))
         return t.v
     if tt is TeVar or tt is TeAbs or tt is TeLam:
         return t
     raise TypeError(f"not a term: {t!r}")
 
 
-def _rb(v: Te, budget: list) -> BoxVal[Te]:
-    tt = type(v)
-    if tt is TeAbs or tt is TeLam:
-        body = box_binder(lambda b: _rb(_ev(b, budget), budget), v.binder)
-        return _TeAbs(lift_ty(v.ty), body) if tt is TeAbs else _TeLam(body)
-    if tt is TeApp:
-        return _TeApp(_rb(v.fn, budget), _rb(v.arg, budget))
-    if tt is TeSpe:
-        return _TeSpe(_rb(v.fn, budget), lift_ty(v.ty))
-    return box_var(v.var)
+def _rb(budget: list, t: Te) -> BoxVal[Te]:
+    # readback: evaluate a term and lift its value, reading back each body
+    return _lift(_ev(t, budget), partial(_rb, budget))
 
 
 def nf(t: Te, max_steps: Optional[int] = None) -> Te:
@@ -242,15 +221,14 @@ def nf(t: Te, max_steps: Optional[int] = None) -> Te:
 
     Normalization by evaluation.  Evaluation (`_ev`) goes right to left,
     argument first; it leaves abstractions as they stand and substitutes
-    each argument as a `_Val` cell.  Readback (`_rb`) turns a value into a
-    box and evaluates each body it opens.  A cell's value is normalized the
-    second time the cell is reached, so a function used many times has its
-    body evaluated at most twice.  Terminates on well-typed terms.
-    `max_steps` bounds the beta steps, all counted, raising
-    `StepBudgetExceeded`.
+    each argument as a `_Val` cell.  Readback (`_rb`) is the lifting walk
+    of `lift_te`, except that each binder body it opens is evaluated and
+    read back in turn.  A cell's value is normalized the second time the
+    cell is reached, so a function used many times has its body evaluated
+    at most twice.  Terminates on well-typed terms.  `max_steps` bounds
+    the beta steps, all counted, raising `StepBudgetExceeded`.
     """
-    budget = [0, max_steps]
-    return unbox(_rb(_ev(t, budget), budget))
+    return unbox(_rb([0, max_steps], t))
 
 
 # --- printing --------------------------------------------------------------

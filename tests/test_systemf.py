@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from bindcore import (
     Open,
     bind_var,
@@ -140,6 +142,12 @@ def test_lift_round_trip_random():
         assert eq_te(unbox(lift_te(t)), t)
 
 
+def test_lift_refuses_what_is_neither_type_nor_term():
+    for lift in (lift_ty, lift_te):
+        with pytest.raises(TypeError, match="not a type or term"):
+            lift(object())
+
+
 # --- normalization ----------------------------------------------------------------
 
 
@@ -241,6 +249,19 @@ def test_sealed_terms_name_binders_minimally():
             unsealed += 1
     # substitution does not rename, so churning leaves some names too large
     assert unsealed > 0
+
+
+def test_readback_and_lifting_name_alike():
+    # `nf`'s readback is the lifting walk of `update_names` with an evaluating
+    # body, and both end in one seal: on a normal form they print its bytes
+    rng = random.Random(2121)
+    g = TermGen(rng, max_depth=6, max_size=40)
+    for _ in range(60):
+        n = nf(g.sample()[0])
+        for ascii in (False, True):
+            shown = print_te(n, ascii)
+            assert print_te(nf(n), ascii) == shown
+            assert print_te(update_names(n), ascii) == shown
 
 
 # --- printing ---------------------------------------------------------------------
